@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-compare microbench vet lint fuzz cover e2e chaos
+.PHONY: build test bench bench-compare microbench vet fmt-check lint fuzz cover e2e chaos
 
 build:
 	go build ./...
@@ -19,11 +19,17 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 10s ./internal/snapshot
 	go test -run '^$$' -fuzz FuzzScoreStateRoundTrip -fuzztime 10s ./internal/stream
 
-# lint = vet + the repo's godoc discipline (every exported symbol in
-# internal/ and cmd/ must carry a doc comment, see cmd/doccheck) + the
-# fuzz smoke run.
-lint: vet fuzz
+# lint = vet + gofmt (any file gofmt would rewrite fails) + the repo's
+# godoc discipline (every exported symbol in internal/ and cmd/ must
+# carry a doc comment, see cmd/doccheck) + the inlining guard on the
+# ingest hot paths (scripts/inline_check.sh) + the fuzz smoke run.
+lint: vet fmt-check fuzz
 	go run ./cmd/doccheck ./internal ./cmd
+	./scripts/inline_check.sh
+
+fmt-check:
+	@out=$$(gofmt -l $$(go list -f '{{.Dir}}' ./...)); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files needing formatting:"; echo "$$out"; exit 1; fi
 
 # Coverage gate: fails when internal/... test coverage drops below the
 # checked-in threshold (scripts/coverage_threshold.txt).

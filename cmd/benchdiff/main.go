@@ -168,14 +168,16 @@ func diff(oldR, newR *benchReport, threshold, qualityDrop float64) (out []delta,
 // snapshot size delta is printed for the record but informational —
 // format growth is a deliberate, reviewed change, not a perf slip.
 // A baseline with no checkpoint row (pre-checkpoint artifact) is not
-// compared.
-func diffCheckpoint(old, cand *ckptRow, threshold float64) (regressions int) {
+// compared. compared counts the legs weighed, so the summary line can
+// report regressions out of the same set; a vanished candidate row is
+// one compared leg that regressed.
+func diffCheckpoint(old, cand *ckptRow, threshold float64) (regressions, compared int) {
 	if old == nil {
-		return 0
+		return 0, 0
 	}
 	if cand == nil {
 		fmt.Printf("  %-34s present in baseline only  << MISSING\n", "checkpoint")
-		return 1
+		return 1, 1
 	}
 	for _, leg := range []struct {
 		name  string
@@ -188,6 +190,7 @@ func diffCheckpoint(old, cand *ckptRow, threshold float64) (regressions int) {
 		if leg.oldNs <= 0 {
 			continue
 		}
+		compared++
 		pct := 100 * (leg.newNs - leg.oldNs) / leg.oldNs
 		mark := ""
 		if leg.newNs > leg.oldNs*(1+threshold) {
@@ -202,7 +205,7 @@ func diffCheckpoint(old, cand *ckptRow, threshold float64) (regressions int) {
 			"checkpoint/bytes", old.SnapshotBytes, cand.SnapshotBytes,
 			100*float64(cand.SnapshotBytes-old.SnapshotBytes)/float64(old.SnapshotBytes))
 	}
-	return regressions
+	return regressions, compared
 }
 
 // checkAutoThreshold gates the candidate's auto-threshold legs: every
@@ -210,15 +213,17 @@ func diffCheckpoint(old, cand *ckptRow, threshold float64) (regressions int) {
 // the drift. The booleans are self-contained (spotbench computes them
 // against the leg's own q), so a missing baseline section changes
 // nothing — but a baseline WITH the section and a candidate without it
-// is a vanished scenario and fails like one.
-func checkAutoThreshold(old, cand *autoSection) (qualityRegressions int, missing bool) {
+// is a vanished scenario and fails like one. compared counts the gated
+// legs.
+func checkAutoThreshold(old, cand *autoSection) (qualityRegressions, compared int, missing bool) {
 	if cand == nil {
-		return 0, old != nil
+		return 0, 0, old != nil
 	}
 	for _, leg := range cand.Legs {
 		if leg.Risk <= 0 {
 			continue
 		}
+		compared++
 		mark := ""
 		if !leg.InBandSteady || !leg.InBandPostDrift {
 			mark = "  << QUALITY REGRESSION"
@@ -227,7 +232,41 @@ func checkAutoThreshold(old, cand *autoSection) (qualityRegressions int, missing
 		fmt.Printf("  auto-threshold/%-19s in band steady=%v post-drift=%v (q=%g)%s\n",
 			leg.Name, leg.InBandSteady, leg.InBandPostDrift, leg.Risk, mark)
 	}
-	return qualityRegressions, false
+	return qualityRegressions, compared, false
+}
+
+// tally is the gate's count over every compared scenario — grid rows,
+// checkpoint legs and auto-threshold legs alike — so the summary's
+// "N of M regressed" ranges N and M over the same set.
+type tally struct {
+	deltas             []delta // the compared grid rows
+	compared           int
+	regressions        int
+	qualityRegressions int
+	missing            []string
+}
+
+// gate runs every comparison the artifacts support and tallies them.
+// The checkpoint and auto-threshold comparisons print their rows as
+// they go; the grid rows are returned for the caller to print.
+func gate(oldR, newR *benchReport, threshold, qualityDrop float64) tally {
+	var t tally
+	t.deltas, t.regressions, t.missing = diff(oldR, newR, threshold, qualityDrop)
+	t.compared = len(t.deltas)
+	for _, d := range t.deltas {
+		if d.qualityRegressed {
+			t.qualityRegressions++
+		}
+	}
+	ckptRegressed, ckptCompared := diffCheckpoint(oldR.Checkpoint, newR.Checkpoint, threshold)
+	autoQuality, autoCompared, autoMissing := checkAutoThreshold(oldR.AutoThreshold, newR.AutoThreshold)
+	t.regressions += ckptRegressed + autoQuality
+	t.qualityRegressions += autoQuality
+	t.compared += ckptCompared + autoCompared
+	if autoMissing {
+		t.missing = append(t.missing, "auto_threshold")
+	}
+	return t
 }
 
 func main() {
@@ -269,25 +308,12 @@ func run(oldR, newR *benchReport, threshold, qualityDrop float64, warn, blockQua
 	if oldR.NumCPU != newR.NumCPU {
 		fmt.Println("note: CPU budgets differ between reports; absolute deltas are not like-for-like")
 	}
-	deltas, regressions, missing := diff(oldR, newR, threshold, qualityDrop)
-	if len(deltas) == 0 {
+	t := gate(oldR, newR, threshold, qualityDrop)
+	if len(t.deltas) == 0 {
 		fmt.Fprintln(os.Stderr, "benchdiff: the reports share no scenarios")
 		os.Exit(2)
 	}
-	qualityRegressions := 0
-	for _, d := range deltas {
-		if d.qualityRegressed {
-			qualityRegressions++
-		}
-	}
-	regressions += diffCheckpoint(oldR.Checkpoint, newR.Checkpoint, threshold)
-	autoQuality, autoMissing := checkAutoThreshold(oldR.AutoThreshold, newR.AutoThreshold)
-	qualityRegressions += autoQuality
-	regressions += autoQuality
-	if autoMissing {
-		missing = append(missing, "auto_threshold")
-	}
-	for _, d := range deltas {
+	for _, d := range t.deltas {
 		dup := ""
 		if d.dup > 0 {
 			dup = fmt.Sprintf("  (%.0f distinct/batch ×%.1f dup)", d.distinct, d.dup)
@@ -304,25 +330,25 @@ func run(oldR, newR *benchReport, threshold, qualityDrop float64, warn, blockQua
 		fmt.Printf("  %-34s %10.0f -> %10.0f points/sec  %+6.1f%%%s%s%s\n",
 			d.name, d.oldPts, d.newPts, d.pct, dup, quality, mark)
 	}
-	for _, name := range missing {
+	for _, name := range t.missing {
 		fmt.Printf("  %-34s present in baseline only  << MISSING\n", name)
 	}
-	if regressions == 0 && len(missing) == 0 {
+	if t.regressions == 0 && len(t.missing) == 0 {
 		fmt.Printf("ok: no scenario regressed more than %.0f%%\n", threshold*100)
 		return
 	}
 	// A vanished scenario fails the gate like a regression: a renamed
 	// grid point or a harness bug that stops emitting a row must not
 	// slip through ungated.
-	if regressions > 0 {
-		fmt.Printf("%d of %d scenarios regressed more than %.0f%%\n", regressions, len(deltas), threshold*100)
+	if t.regressions > 0 {
+		fmt.Printf("%d of %d scenarios regressed more than %.0f%%\n", t.regressions, t.compared, threshold*100)
 	}
-	if len(missing) > 0 {
-		fmt.Printf("%d baseline scenarios missing from the candidate\n", len(missing))
+	if len(t.missing) > 0 {
+		fmt.Printf("%d baseline scenarios missing from the candidate\n", len(t.missing))
 	}
 	if warn {
-		if blockQuality && qualityRegressions > 0 {
-			fmt.Printf("%d quality regressions are blocking (-block-quality): exiting 1\n", qualityRegressions)
+		if blockQuality && t.qualityRegressions > 0 {
+			fmt.Printf("%d quality regressions are blocking (-block-quality): exiting 1\n", t.qualityRegressions)
 			os.Exit(1)
 		}
 		fmt.Println("warn-only mode: exiting 0")

@@ -95,18 +95,18 @@ func TestDiffThresholdBoundary(t *testing.T) {
 // is not compared, and a vanished candidate row fails the gate.
 func TestDiffCheckpoint(t *testing.T) {
 	base := &ckptRow{SnapshotBytes: 1 << 20, EncodeNsPerOp: 1e6, DecodeNsPerOp: 2e6}
-	if n := diffCheckpoint(nil, base, 0.10); n != 0 {
+	if n, _ := diffCheckpoint(nil, base, 0.10); n != 0 {
 		t.Fatalf("pre-checkpoint baseline regressed: %d", n)
 	}
-	if n := diffCheckpoint(base, nil, 0.10); n != 1 {
+	if n, _ := diffCheckpoint(base, nil, 0.10); n != 1 {
 		t.Fatalf("missing candidate row not flagged: %d", n)
 	}
 	ok := &ckptRow{SnapshotBytes: 2 << 20, EncodeNsPerOp: 1.05e6, DecodeNsPerOp: 1.5e6}
-	if n := diffCheckpoint(base, ok, 0.10); n != 0 {
+	if n, _ := diffCheckpoint(base, ok, 0.10); n != 0 {
 		t.Fatalf("wobble+improvement flagged as regression: %d", n)
 	}
 	slow := &ckptRow{SnapshotBytes: 1 << 20, EncodeNsPerOp: 1.2e6, DecodeNsPerOp: 2.5e6}
-	if n := diffCheckpoint(base, slow, 0.10); n != 2 {
+	if n, _ := diffCheckpoint(base, slow, 0.10); n != 2 {
 		t.Fatalf("both slowed legs should regress, got %d", n)
 	}
 }
@@ -163,7 +163,7 @@ func TestCheckAutoThreshold(t *testing.T) {
 		{Name: "auto/q=1e-3", Risk: 1e-3, InBandSteady: true, InBandPostDrift: true},
 		{Name: "fixed", Risk: 0},
 	}}
-	if n, miss := checkAutoThreshold(nil, good); n != 0 || miss {
+	if n, _, miss := checkAutoThreshold(nil, good); n != 0 || miss {
 		t.Fatalf("in-band legs gated: %d regressions, missing=%v", n, miss)
 	}
 	bad := &autoSection{Legs: []autoLeg{
@@ -171,14 +171,53 @@ func TestCheckAutoThreshold(t *testing.T) {
 		{Name: "auto/q=1e-4", Risk: 1e-4, InBandSteady: false, InBandPostDrift: false},
 		{Name: "fixed", Risk: 0},
 	}}
-	if n, _ := checkAutoThreshold(good, bad); n != 2 {
+	if n, _, _ := checkAutoThreshold(good, bad); n != 2 {
 		t.Fatalf("out-of-band legs: %d regressions, want 2", n)
 	}
-	if n, miss := checkAutoThreshold(good, nil); n != 0 || !miss {
+	if n, _, miss := checkAutoThreshold(good, nil); n != 0 || !miss {
 		t.Fatalf("vanished section: %d regressions, missing=%v, want missing", n, miss)
 	}
-	if n, miss := checkAutoThreshold(nil, nil); n != 0 || miss {
+	if n, _, miss := checkAutoThreshold(nil, nil); n != 0 || miss {
 		t.Fatalf("pre-auto baseline and candidate: %d regressions, missing=%v", n, miss)
+	}
+}
+
+// TestGateCountsOverOneSet: the summary's regressions and compared
+// counts range over the same scenarios — grid rows, checkpoint legs and
+// gated auto-threshold legs — so regressed checkpoint and auto legs can
+// never push the count past the number of scenarios compared.
+func TestGateCountsOverOneSet(t *testing.T) {
+	oldR := &benchReport{
+		Benchmarks: []benchRow{
+			{Name: "d=20/shards=1", PointsPerSec: 20000},
+			{Name: "d=50/shards=1", PointsPerSec: 10000},
+		},
+		Checkpoint:    &ckptRow{EncodeNsPerOp: 1e6, DecodeNsPerOp: 2e6},
+		AutoThreshold: &autoSection{},
+	}
+	newR := &benchReport{
+		Benchmarks: []benchRow{
+			{Name: "d=20/shards=1", PointsPerSec: 20000},
+			{Name: "d=50/shards=1", PointsPerSec: 5000},
+		},
+		Checkpoint: &ckptRow{EncodeNsPerOp: 2e6, DecodeNsPerOp: 4e6},
+		AutoThreshold: &autoSection{Legs: []autoLeg{
+			{Name: "auto/q=1e-3", Risk: 1e-3},
+			{Name: "auto/q=1e-4", Risk: 1e-4, InBandSteady: true, InBandPostDrift: true},
+			{Name: "fixed", Risk: 0},
+		}},
+	}
+	g := gate(oldR, newR, 0.10, 0.05)
+	// One grid row, both checkpoint legs and one auto leg regressed, out
+	// of two grid rows, two checkpoint legs and two gated auto legs.
+	if g.regressions != 4 || g.compared != 6 {
+		t.Fatalf("gate tallied %d of %d regressed, want 4 of 6", g.regressions, g.compared)
+	}
+	if g.qualityRegressions != 1 {
+		t.Fatalf("quality regressions = %d, want 1 (the out-of-band auto leg)", g.qualityRegressions)
+	}
+	if len(g.missing) != 0 {
+		t.Fatalf("missing = %v, want none", g.missing)
 	}
 }
 

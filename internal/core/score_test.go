@@ -32,12 +32,12 @@ func TestDeficitEdges(t *testing.T) {
 	cases := []struct {
 		value, threshold, want float64
 	}{
-		{0.05, 0.05, 0},  // at threshold: did not fire
-		{0.06, 0.05, 0},  // above threshold
-		{0.05, 0, 0},     // disabled threshold
-		{0.05, -1, 0},    // negative threshold
-		{0, 0.05, 1},     // all the way down
-		{-0.3, 0.05, 1},  // below zero clamps
+		{0.05, 0.05, 0}, // at threshold: did not fire
+		{0.06, 0.05, 0}, // above threshold
+		{0.05, 0, 0},    // disabled threshold
+		{0.05, -1, 0},   // negative threshold
+		{0, 0.05, 1},    // all the way down
+		{-0.3, 0.05, 1}, // below zero clamps
 		{0.025, 0.05, 0.5},
 		{0.01, 0.05, 0.8},
 	}

@@ -56,11 +56,22 @@ func (t *DecayTable) Lambda() float64 { return t.lambda }
 // At returns the fading weight for a gap of dt ticks: a table load
 // below decayTableSize, the shared decayWeight primitive past it —
 // table entries are built from the same primitive, so the two regimes
-// agree bitwise on any gap either could serve.
+// agree bitwise on any gap either could serve. The table hit stays
+// small enough to inline into every touch loop; only the rare
+// past-the-table gap pays a call (scripts/inline_check.sh guards this).
 func (t *DecayTable) At(dt uint64) float64 {
 	if dt < decayTableSize {
 		return t.pow[dt]
 	}
+	return t.atFar(dt)
+}
+
+// atFar is At's out-of-line fallback for gaps past the table. It must
+// not be inlined: its math.Exp2 body would push At over the inline
+// budget and put a real call back on every table hit.
+//
+//go:noinline
+func (t *DecayTable) atFar(dt uint64) float64 {
 	return decayWeight(t.lambda, dt)
 }
 

@@ -206,17 +206,17 @@ func TestMOGANoExamplesNoSearch(t *testing.T) {
 // TestMOGAConfigValidation rejects out-of-range knobs.
 func TestMOGAConfigValidation(t *testing.T) {
 	bad := []MOGAConfig{
-		{MinArity: 1, MaxArity: 2, TopS: 1},           // arity-1 is the fixed group's job
-		{MinArity: 3, MaxArity: 2, TopS: 1},           // min > max
-		{MinArity: 2, MaxArity: 9, TopS: 1},           // beyond key capacity
-		{TopS: 0},                                     // no budget
-		{TopS: 1, PopSize: 2},                         // population too small to breed
-		{TopS: 1, Generations: -1},                    // negative generations
-		{TopS: 1, SparseRatio: 1.5},                   // ratio out of (0,1)
-		{TopS: 1, CrossoverP: 1.5},                    // not a probability
-		{TopS: 1, MutationP: -0.5},                    // not a probability
-		{TopS: 1, MinCoverage: 2},                     // floor out of [0,1]
-		{TopS: 1, MinSparsity: -1},                    // floor out of [0,1]
+		{MinArity: 1, MaxArity: 2, TopS: 1}, // arity-1 is the fixed group's job
+		{MinArity: 3, MaxArity: 2, TopS: 1}, // min > max
+		{MinArity: 2, MaxArity: 9, TopS: 1}, // beyond key capacity
+		{TopS: 0},                           // no budget
+		{TopS: 1, PopSize: 2},               // population too small to breed
+		{TopS: 1, Generations: -1},          // negative generations
+		{TopS: 1, SparseRatio: 1.5},         // ratio out of (0,1)
+		{TopS: 1, CrossoverP: 1.5},          // not a probability
+		{TopS: 1, MutationP: -0.5},          // not a probability
+		{TopS: 1, MinCoverage: 2},           // floor out of [0,1]
+		{TopS: 1, MinSparsity: -1},          // floor out of [0,1]
 	}
 	for i, cfg := range bad {
 		if _, err := NewMOGA(cfg); err == nil {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -257,6 +258,85 @@ func TestAutoThresholdShardAndBatchInvariance(t *testing.T) {
 			if got[i] != ref[i] {
 				t.Fatalf("%s: verdict %d = %v, pointwise/shards=1 = %v", name, i, got[i], ref[i])
 			}
+		}
+	}
+}
+
+// TestAutoThresholdScoredInvariance: auto-thresholding and scoring
+// together — the combination a calibrated, attributed deployment runs
+// — give bit-identical verdicts, scores and calibration state whether
+// the stream arrives pointwise or in 300-point batches (which straddle
+// the 512-tick epoch boundaries, so the dispatcher splits them), and
+// whether the subspaces are dealt to 1, 2 or 4 shards.
+func TestAutoThresholdScoredInvariance(t *testing.T) {
+	const n = 6 * 512
+	d := 5
+	flat := make([]float64, n*d)
+	uniformStream(37, d)(flat)
+
+	type result struct {
+		out    []bool
+		scores []float64
+		stats  Stats
+	}
+	run := func(shards, batch int) result {
+		cfg := autoTestConfig(0.01)
+		cfg.Dims = d
+		cfg.Shards = shards
+		cfg.Scoring = true
+		det, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer det.Close()
+		r := result{out: make([]bool, n), scores: make([]float64, n)}
+		if batch == 0 {
+			for i := 0; i < n; i++ {
+				r.out[i], r.scores[i] = det.ProcessScored(flat[i*d : (i+1)*d])
+			}
+		} else {
+			for done := 0; done < n; done += batch {
+				end := min(done+batch, n)
+				det.ProcessBatchScored(flat[done*d:end*d], r.out[done:end], r.scores[done:end])
+			}
+		}
+		r.stats = det.Stats()
+		return r
+	}
+
+	ref := run(1, 0)
+	flagged := 0
+	for i, f := range ref.out {
+		if f {
+			flagged++
+		}
+		if f != (ref.scores[i] > 0) {
+			t.Fatalf("point %d: verdict %v with score %v", i, f, ref.scores[i])
+		}
+	}
+	if flagged == 0 || ref.stats.Calibrations == 0 {
+		t.Fatalf("degenerate reference: %d flagged, %d calibrations", flagged, ref.stats.Calibrations)
+	}
+	variants := map[string]result{
+		"pointwise/shards=4": run(4, 0),
+		"batch300/shards=1":  run(1, 300),
+		"batch300/shards=2":  run(2, 300),
+		"batch300/shards=4":  run(4, 300),
+	}
+	for name, got := range variants {
+		for i := range ref.out {
+			if got.out[i] != ref.out[i] {
+				t.Fatalf("%s: verdict %d = %v, pointwise/shards=1 = %v", name, i, got.out[i], ref.out[i])
+			}
+			if math.Float64bits(got.scores[i]) != math.Float64bits(ref.scores[i]) {
+				t.Fatalf("%s: score %d = %v, pointwise/shards=1 = %v", name, i, got.scores[i], ref.scores[i])
+			}
+		}
+		g, w := got.stats, ref.stats
+		if g.Calibrations != w.Calibrations || g.CalibrationSamples != w.CalibrationSamples ||
+			math.Float64bits(g.AutoEffTrials) != math.Float64bits(w.AutoEffTrials) {
+			t.Fatalf("%s: calibrations %d/%d samples %d/%d eff trials %v/%v (got/want)", name,
+				g.Calibrations, w.Calibrations, g.CalibrationSamples, w.CalibrationSamples, g.AutoEffTrials, w.AutoEffTrials)
 		}
 	}
 }

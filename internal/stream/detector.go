@@ -258,6 +258,7 @@ func DefaultConfig(d int) Config {
 type job struct {
 	flatT  []float64 // n×Dims point values, one column per dimension
 	planeT []uint8   // n×Dims interval indices, one column per dimension
+	slots  []int32   // per-point auto-threshold sample slot, -1 if unsampled; nil without AutoThreshold
 	n      int
 	t0     uint64
 	sweep  bool
@@ -290,6 +291,10 @@ type Detector struct {
 	plane  []uint8
 	planeT []uint8
 	flatT  []float64
+	// slots holds the batch's per-point auto-threshold sample slots
+	// (Config.AutoThreshold only), filled once by the dispatcher so
+	// the shards' per-pair loops never divide by the epoch geometry.
+	slots []int32
 
 	// Labeled outlier examples for supervised evolution, newest last;
 	// owned by the dispatcher goroutine (MarkExample runs between
@@ -496,9 +501,13 @@ func (d *Detector) process(point []float64) bool {
 	if d.cfg.Scoring {
 		d.attr.reset()
 	}
+	slot := -1
+	if d.auto != nil {
+		slot = d.auto.sampleSlot(t, d.cfg.EpochTicks)
+	}
 	out := false
 	for _, sh := range d.shards {
-		if sh.processPoint(point, d.bscratch, t) {
+		if sh.processPoint(point, d.bscratch, t, slot) {
 			out = true
 		}
 	}
@@ -651,11 +660,21 @@ func (d *Detector) runBatch(flat []float64, n int, out []bool, scores []float64,
 			flatT[j*n+i] = row[j]
 		}
 	}
+	var slots []int32
+	if d.auto != nil {
+		if cap(d.slots) < n {
+			d.slots = make([]int32, n)
+		}
+		slots = d.slots[:n]
+		for i := range slots {
+			slots[i] = int32(d.auto.sampleSlot(t0+uint64(i)+1, d.cfg.EpochTicks))
+		}
+	}
 	if !d.workersUp {
 		d.startWorkers()
 	}
 	for _, ch := range d.jobs {
-		ch <- job{flatT: flatT, planeT: planeT, n: n, t0: t0}
+		ch <- job{flatT: flatT, planeT: planeT, slots: slots, n: n, t0: t0}
 	}
 	// The dispatcher goroutine owns the base-cell table; updating it
 	// here overlaps with the shard workers instead of serializing

@@ -101,11 +101,11 @@ func TestMisbehavingEvolverIsContained(t *testing.T) {
 	ev := &scriptedEvolver{steps: []sst.Evolution{
 		{
 			Promote: [][]uint16{
-				{2},          // duplicates a fixed arity-1 subspace
-				{3, 1},       // not strictly increasing
-				{1, 9},       // dimension out of range
-				{1, 3},       // legal
-				{1, 3},       // duplicate of the same epoch's promotion
+				{2},    // duplicates a fixed arity-1 subspace
+				{3, 1}, // not strictly increasing
+				{1, 9}, // dimension out of range
+				{1, 3}, // legal
+				{1, 3}, // duplicate of the same epoch's promotion
 			},
 			Demote: []uint32{0, 99}, // fixed-group ID; unknown ID
 		},

@@ -21,11 +21,11 @@ func TestShardInvarianceProperty(t *testing.T) {
 	meta := rand.New(rand.NewSource(42))
 	const trials = 6
 	for trial := 0; trial < trials; trial++ {
-		d := 5 + meta.Intn(5)                 // 5..9 dimensions
-		epoch := uint64(64 + meta.Intn(400))  // never aligned with batch splits
-		n := 1200 + meta.Intn(800)            // points per trial
-		supervised := trial%2 == 0            // MOGA active on half the trials
-		mode := trial % 3                     // rotate outlier scenarios
+		d := 5 + meta.Intn(5)                // 5..9 dimensions
+		epoch := uint64(64 + meta.Intn(400)) // never aligned with batch splits
+		n := 1200 + meta.Intn(800)           // points per trial
+		supervised := trial%2 == 0           // MOGA active on half the trials
+		mode := trial % 3                    // rotate outlier scenarios
 		genSeed := meta.Int63()
 		evSeed := meta.Int63()
 		maxDim := 1 + meta.Intn(2)

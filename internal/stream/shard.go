@@ -284,7 +284,14 @@ func (s *shard) removeSubspace(id uint32) {
 // serialized each subspace's probe → summary → verdict chain. The
 // per-subspace results are identical either way — subspaces share no
 // state within a point.
-func (s *shard) processPoint(point []float64, coords []uint8, tick uint64) bool {
+//
+// A (subspace, point) pair that flags nothing makes no function call
+// in pass 3: decay lookups are inlined table loads, the all-pass exit
+// (allPass) is decided inline, and sampleSlot — the tick's
+// auto-threshold sample slot, -1 when unsampled — is computed once per
+// point by the dispatcher for every shard. Only flagging pairs, pairs
+// below the uniform expectation and sampled ticks call out.
+func (s *shard) processPoint(point []float64, coords []uint8, tick uint64, sampleSlot int) bool {
 	decay := s.det.decay
 	cfg := &s.det.cfg
 	tbl := s.table
@@ -346,23 +353,18 @@ func (s *shard) processPoint(point []float64, coords []uint8, tick uint64) bool 
 	tbl.TouchBatch(decay, tick, keys, mags, slots, dcs)
 	// Pass 3: representatives and verdicts — a purely sequential walk
 	// over states, reps and dcs; the only random access left is the
-	// rare outlyingSlow call. The cheap all-measures-pass verdict exit
-	// is decided inline — one multiply and three compares, no division
-	// — and only cells that flag on RD, sit under the populated floor,
-	// or fall below the uniform expectation (rd < 1, the gate for the
-	// costlier IRSD/IkRD measures) take the outlyingSlow call.
+	// rare outlyingSlow call. The all-measures-pass verdict exit is
+	// decided inline for both the scored and unscored verdicts — one
+	// multiply and three compares, no division, no call — and only
+	// cells that flag on RD, sit under the populated floor, or fall
+	// below the uniform expectation (rd < 1, the gate for the costlier
+	// IRSD/IkRD measures) go on to scoredVerdict or outlyingSlow.
 	out := false
 	warmup := cfg.Warmup
 	k := cfg.K
 	scoring := cfg.Scoring
 	if scoring {
 		s.attr.reset()
-	}
-	// Auto-thresholding samples the per-point measure values on a
-	// deterministic tick stride (see autoState.sampleSlot).
-	sampleSlot := -1
-	if a := s.det.auto; a != nil {
-		sampleSlot = a.sampleSlot(tick, cfg.EpochTicks)
 	}
 	rb := 0
 	for li := range s.states {
@@ -437,21 +439,35 @@ func (s *shard) processPoint(point []float64, coords []uint8, tick uint64) bool 
 		if sampleSlot >= 0 {
 			s.foldAutoSample(st, li, key, lhs, dc, tbl.CellAt(slots[li]).S, tot, st.total.S, st.total.Q, sampleSlot)
 		}
+		rhs := st.rdThr * tot
+		if allPass(lhs, rhs, dc, st.popFloor, tot) {
+			continue
+		}
 		if scoring {
 			fired, sev := s.scoredVerdict(st, li, key, lhs, dc, tbl.CellAt(slots[li]).S, tot, st.total.S, st.total.Q, st.rdThr)
 			if fired != 0 {
 				out = true
 				s.attr.add(0, s.subs[li], key, fired, sev)
 			}
-			continue
-		}
-		if lhs < st.rdThr*tot || dc < st.popFloor {
-			out = true
-		} else if lhs < tot && s.outlyingSlow(st, li, key, tbl.CellAt(slots[li]).Mean(), tot, st.total.S, st.total.Q) {
+		} else if lhs < rhs || dc < st.popFloor || (lhs < tot && s.outlyingSlow(st, li, key, tbl.CellAt(slots[li]).Mean(), tot, st.total.S, st.total.Q)) {
 			out = true
 		}
 	}
 	return out
+}
+
+// allPass is the inline all-measures-pass exit of both verdict loops:
+// it reports whether a warm (subspace, cell) pair clears every measure
+// outright — RD at or above its threshold (lhs = dc·φ^arity against
+// rhs = rdThr·tdc), density at or above the populated floor, and
+// rd ≥ 1, the gate in front of IRSD and IkRD. It is the exact
+// complement of the conditions under which scoredVerdict or the
+// unscored test can fire; the >= compares send a NaN to the full
+// evaluation rather than through the exit. Small enough to inline
+// (scripts/inline_check.sh guards this), it keeps the common pair free
+// of calls.
+func allPass(lhs, rhs, dc, popFloor, tdc float64) bool {
+	return lhs >= rhs && dc >= popFloor && lhs >= tdc
 }
 
 // processBatch runs a whole batch through the shard, recording verdicts
@@ -480,6 +496,12 @@ func (s *shard) processPoint(point []float64, coords []uint8, tick uint64) bool 
 // duplication worth grouping. Both fold the identical arithmetic in
 // the identical per-cell tick order, so summaries — and therefore
 // verdicts — are bit-identical either way.
+//
+// Past TouchRuns, pass C keeps the common pair call-free, as in
+// processPoint: the decay lookups inline, the all-pass exit is inline
+// (scoredVerdict and outlyingSlow run only for pairs that may fire),
+// and the auto-threshold sample slots come precomputed per batch in
+// jb.slots, so no pair divides by the epoch geometry.
 func (s *shard) processBatch(jb job) {
 	words := (jb.n + 63) >> 6
 	if cap(s.verdict) < words {
@@ -513,10 +535,10 @@ func (s *shard) processBatch(jb job) {
 	flatT, planeT := jb.flatT, jb.planeT
 	noCoalesce := cfg.NoCoalesce
 	// Auto-thresholding samples the per-point measure values on a
-	// deterministic tick stride; batches never cross an epoch
-	// boundary, so the slot of tick t0+i+1 is epoch-relative exactly
-	// as in the pointwise path.
-	auto := s.det.auto
+	// deterministic tick stride. The slot of tick t0+i+1 depends on the
+	// tick alone, so the dispatcher computes the batch's slots once
+	// (nil without auto-thresholding) instead of every pair dividing.
+	slots := jb.slots
 	rb := 0
 	for li := range s.states {
 		st := &s.states[li]
@@ -640,21 +662,21 @@ func (s *shard) processBatch(jb job) {
 				continue
 			}
 			lhs := dc * phiPow
-			if auto != nil {
-				if slot := auto.sampleSlot(tick, cfg.EpochTicks); slot >= 0 {
-					s.foldAutoSample(st, li, key, lhs, dc, ss[i], tdc, ts, tq, slot)
+			if slots != nil {
+				if slot := slots[i]; slot >= 0 {
+					s.foldAutoSample(st, li, key, lhs, dc, ss[i], tdc, ts, tq, int(slot))
 				}
+			}
+			rhs := rdThr * tdc
+			if allPass(lhs, rhs, dc, popFloor, tdc) {
+				continue
 			}
 			if scoring {
 				if fired, sev := s.scoredVerdict(st, li, key, lhs, dc, ss[i], tdc, ts, tq, rdThr); fired != 0 {
 					verdict[i>>6] |= 1 << (uint(i) & 63)
 					s.attr.add(int32(i), s.subs[li], key, fired, sev)
 				}
-				continue
-			}
-			if lhs < rdThr*tdc || dc < popFloor {
-				verdict[i>>6] |= 1 << (uint(i) & 63)
-			} else if lhs < tdc && s.outlyingSlow(st, li, key, ss[i]/dc, tdc, ts, tq) {
+			} else if lhs < rhs || dc < popFloor || (lhs < tdc && s.outlyingSlow(st, li, key, ss[i]/dc, tdc, ts, tq)) {
 				verdict[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}

@@ -348,8 +348,10 @@ func TestRestoreConfigMismatch(t *testing.T) {
 // snapshot carrying evolver state cannot restore into it.
 type plainEvolver struct{}
 
-func (plainEvolver) Observe(sub uint32, outlier bool)                       {}
-func (plainEvolver) Evolve(tmpl *sst.Template, st *sst.EpochStats) sst.Evolution { return sst.Evolution{} }
+func (plainEvolver) Observe(sub uint32, outlier bool) {}
+func (plainEvolver) Evolve(tmpl *sst.Template, st *sst.EpochStats) sst.Evolution {
+	return sst.Evolution{}
+}
 
 // TestRestoreFaultInjection sweeps injected faults over real snapshot
 // bytes: truncation at every section boundary and mid-payload, bit
