@@ -55,8 +55,7 @@ type result struct {
 	// cells per (subspace, batch) grouping pass and CellDupRatio the
 	// points-folded-per-distinct-cell factor — the workload's intra-
 	// batch duplication, which is exactly what batch cell coalescing
-	// converts into saved index probes. Zero when coalescing was off or
-	// the adaptive gate skipped every pass.
+	// converts into saved index probes.
 	DistinctCellsPerBatch float64 `json:"distinct_cells_per_batch"`
 	CellDupRatio          float64 `json:"cell_dup_ratio"`
 	// Ranking quality on a fresh labeled evaluation stream fed after the
@@ -145,7 +144,6 @@ type report struct {
 	GOMAXPROCS    int                  `json:"gomaxprocs"`
 	Benchmarks    []result             `json:"benchmarks"`
 	Ratios        map[string]float64   `json:"shard8_over_shard1"`
-	Coalesce      []coalesceResult     `json:"coalesce"`
 	SweepPause    *sweepPauseResult    `json:"sweep_pause"`
 	Drift         *driftResult         `json:"drift_memory"`
 	Evolution     *evolutionResult     `json:"sst_evolution"`
@@ -156,14 +154,12 @@ type report struct {
 }
 
 // run measures throughput for one scenario: a (dims, shards) grid point
-// on the default clustered stream, or — for the duplication-aware
-// coalescing scenarios — the uniform adversarial stream and/or the
-// Config.NoCoalesce fused path.
-func run(name string, d, shards, batch int, dur time.Duration, uniform, noCoalesce bool) (result, error) {
+// on the default clustered stream, or — for the duplication-free
+// coalescing scenario — the uniform adversarial stream.
+func run(name string, d, shards, batch int, dur time.Duration, uniform bool) (result, error) {
 	cfg := stream.DefaultConfig(d)
 	cfg.MaxSubspaceDim = bench.MaxDimFor(d)
 	cfg.Shards = shards
-	cfg.NoCoalesce = noCoalesce
 	// The timed loop recycles a small batch pool, so every point recurs
 	// with a period ~3× the decay window and every cell looks
 	// perpetually fresh — a degenerate workload the populated-RD test
@@ -357,42 +353,6 @@ func rankMetrics(scores []float64, labels []bool) (auc, precAtK float64, k int) 
 	}
 	precAtK = credit / float64(k)
 	return auc, precAtK, k
-}
-
-// coalesceResult reports the duplication-aware coalescing scenarios:
-// the same d=20/shards=1 configuration measured with batch cell
-// coalescing on and off (Config.NoCoalesce), on the clustered default
-// stream (heavy intra-batch duplication — the win case) and on the
-// adversarial uniform stream (almost no duplication in the high-arity
-// subspaces — the stay-flat case, which the per-subspace adaptive gate
-// enforces by routing duplication-free subspaces back to the fused
-// path). The full per-run rows also live in benchmarks[], so
-// bench-compare gates on them like any grid point.
-type coalesceResult struct {
-	Dims                  int     `json:"dims"`
-	Shards                int     `json:"shards"`
-	Batch                 int     `json:"batch"`
-	Scenario              string  `json:"scenario"`
-	PointsPerSecOn        float64 `json:"points_per_sec_coalesce"`
-	PointsPerSecOff       float64 `json:"points_per_sec_nocoalesce"`
-	OnOverOff             float64 `json:"coalesce_over_nocoalesce"`
-	DistinctCellsPerBatch float64 `json:"distinct_cells_per_batch"`
-	CellDupRatio          float64 `json:"cell_dup_ratio"`
-}
-
-// coalesceSummary pairs one scenario's coalesce-on and -off rows.
-func coalesceSummary(scenario string, on, off result) coalesceResult {
-	return coalesceResult{
-		Dims:                  on.Dims,
-		Shards:                on.Shards,
-		Batch:                 on.Batch,
-		Scenario:              scenario,
-		PointsPerSecOn:        on.PointsPerSec,
-		PointsPerSecOff:       off.PointsPerSec,
-		OnOverOff:             on.PointsPerSec / off.PointsPerSec,
-		DistinctCellsPerBatch: on.DistinctCellsPerBatch,
-		CellDupRatio:          on.CellDupRatio,
-	}
 }
 
 // sweepPauseResult reports the epoch-sweep pause with the per-shard
@@ -1248,11 +1208,10 @@ func main() {
 		os.Exit(1)
 	}
 	perDim := map[int]map[int]float64{}
-	var gridOn result // the d=20/shards=1 grid point doubles as the clustered coalesce-on leg
 	for _, d := range []int{20, 50, 100} {
 		perDim[d] = map[int]float64{}
 		for _, shards := range []int{1, 4, 8} {
-			r, err := run(fmt.Sprintf("d=%d/shards=%d", d, shards), d, shards, *batch, *dur, false, false)
+			r, err := run(fmt.Sprintf("d=%d/shards=%d", d, shards), d, shards, *batch, *dur, false)
 			if err != nil {
 				fail(err)
 			}
@@ -1261,36 +1220,21 @@ func main() {
 				r.Subspaces, r.ProjectedCell, r.DistinctCellsPerBatch, r.CellDupRatio)
 			rep.Benchmarks = append(rep.Benchmarks, r)
 			perDim[d][shards] = r.PointsPerSec
-			if d == 20 && shards == 1 {
-				gridOn = r
-			}
 		}
 		if perDim[d][1] > 0 {
 			rep.Ratios[fmt.Sprintf("d=%d", d)] = perDim[d][8] / perDim[d][1]
 		}
 	}
-	// Duplication-aware coalescing scenarios at d=20/shards=1: the win
-	// case (clustered — its coalesce-on leg IS the grid measurement,
-	// not a duplicate run) and the adversarial stay-flat case (uniform)
-	// each get a NoCoalesce counterpart row.
-	clOff, err := run("d=20/shards=1/clustered/nocoalesce", 20, 1, *batch, *dur, false, true)
+	// The duplication-free stay-flat case for batch cell coalescing:
+	// the adversarial uniform stream at d=20/shards=1, where the
+	// high-arity subspaces find almost every point in its own cell.
+	uq, err := run("d=20/shards=1/unique/coalesce", 20, 1, *batch, *dur, true)
 	if err != nil {
 		fail(err)
 	}
-	uqOn, err := run("d=20/shards=1/unique/coalesce", 20, 1, *batch, *dur, true, false)
-	if err != nil {
-		fail(err)
-	}
-	uqOff, err := run("d=20/shards=1/unique/nocoalesce", 20, 1, *batch, *dur, true, true)
-	if err != nil {
-		fail(err)
-	}
-	rep.Benchmarks = append(rep.Benchmarks, clOff, uqOn, uqOff)
-	rep.Coalesce = append(rep.Coalesce, coalesceSummary("clustered", gridOn, clOff), coalesceSummary("unique", uqOn, uqOff))
-	for _, cr := range rep.Coalesce {
-		fmt.Printf("coalesce %-10s %8.0f vs %8.0f points/sec off (×%.2f, %.0f distinct/batch ×%.1f dup)\n",
-			cr.Scenario, cr.PointsPerSecOn, cr.PointsPerSecOff, cr.OnOverOff, cr.DistinctCellsPerBatch, cr.CellDupRatio)
-	}
+	fmt.Printf("%-18s %12.0f points/sec  (%.0f distinct/batch ×%.1f dup)\n",
+		uq.Name, uq.PointsPerSec, uq.DistinctCellsPerBatch, uq.CellDupRatio)
+	rep.Benchmarks = append(rep.Benchmarks, uq)
 	sp, err := runSweepPause()
 	if err != nil {
 		fail(err)

@@ -10,12 +10,12 @@ import "math/bits"
 // is where dense streams spend most of their duplicate work.
 //
 // The grouper is a reusable scratch structure: a small open-addressed
-// key index over the batch (power-of-two, ≤1/2 load, cleared per call)
-// plus first-seen-ordered group arrays and a per-position next chain.
-// All backing arrays are retained across calls, so steady state — the
-// same batch size over and over, as the detector's shards drive it —
-// performs zero heap allocations. Not safe for concurrent use; each
-// detector shard owns one.
+// key index over the batch (power-of-two, ≤1/2 load, sized to the batch
+// and cleared per call) plus first-seen-ordered group arrays and a
+// per-position next chain. All backing arrays are retained across
+// calls, so steady state — the same batch size over and over, as the
+// detector's shards drive it — performs zero heap allocations. Not safe
+// for concurrent use; each detector shard owns one.
 type Grouper struct {
 	slots []int32 // open-addressed key index: group index + 1, 0 = empty
 	shift uint    // home slot of a key = cellHash(key) >> shift
@@ -26,28 +26,31 @@ type Grouper struct {
 	next []int32  // next position of the same run, -1 ends it
 }
 
-// grouperMinSlots is the smallest key-index size; tiny sub-batches (an
-// epoch split can cut a batch to a handful of points) stay on one cache
-// line instead of resizing the index down.
+// grouperMinSlots is the smallest key-index size: 16 int32 slots fill
+// one cache line, which is all a tiny sub-batch (an epoch split can cut
+// a batch to a handful of points) clears.
 const grouperMinSlots = 16
 
 // Group partitions keys — one cell key per batch position, in tick
 // order — into per-cell runs, replacing any previous grouping. Runs
 // preserve batch order: walking a group's chain visits its positions in
 // increasing order, which is what keeps the downstream run fold on the
-// same tick trajectory as the pointwise path.
+// same tick trajectory as the pointwise path. The key index is sized
+// to this call's batch, not the largest seen, so a small sub-batch
+// after full-size ones clears only the slots it uses.
 func (g *Grouper) Group(keys []uint64) {
 	n := len(keys)
 	want := grouperMinSlots
 	for want < 2*n {
 		want <<= 1
 	}
-	if len(g.slots) < want {
+	if cap(g.slots) < want {
 		g.slots = make([]int32, want)
-		g.shift = uint(64 - bits.TrailingZeros(uint(want)))
 	} else {
+		g.slots = g.slots[:want]
 		clear(g.slots)
 	}
+	g.shift = uint(64 - bits.TrailingZeros(uint(want)))
 	if cap(g.next) < n {
 		g.next = make([]int32, n)
 		g.keys = make([]uint64, 0, n)

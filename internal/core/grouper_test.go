@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -53,6 +54,50 @@ func TestGrouperPartitions(t *testing.T) {
 		for i, ok := range seen {
 			if !ok {
 				t.Fatalf("trial %d: position %d missing from every run", trial, i)
+			}
+		}
+	}
+}
+
+// TestGrouperShrinksToBatch alternates full 512-key batches with tiny
+// ones (1, 3 and 37 keys), the pattern epoch-split sub-batches produce:
+// the index is resized to each batch, so every grouping — including a
+// small one right after a large one, when stale slots from the larger
+// index would still be set if only a prefix were cleared — must equal
+// a map-built grouping of the same keys (first-seen key order, each
+// run's positions in batch order).
+func TestGrouperShrinksToBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var g Grouper
+	for round := 0; round < 40; round++ {
+		n := []int{512, 1, 512, 3, 512, 37}[round%6]
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(2))<<SubspaceShift | uint64(rng.Intn(1+n/4))
+		}
+		g.Group(keys)
+
+		var order []uint64
+		runs := map[uint64][]int{}
+		for i, k := range keys {
+			if _, ok := runs[k]; !ok {
+				order = append(order, k)
+			}
+			runs[k] = append(runs[k], i)
+		}
+		if g.Groups() != len(order) {
+			t.Fatalf("round %d (n=%d): %d groups, want %d", round, n, g.Groups(), len(order))
+		}
+		for gi, want := range order {
+			if g.Key(gi) != want {
+				t.Fatalf("round %d (n=%d): group %d key %x, want %x", round, n, gi, g.Key(gi), want)
+			}
+			var got []int
+			for i := g.First(gi); i >= 0; i = g.Next(i) {
+				got = append(got, i)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(runs[want]) {
+				t.Fatalf("round %d (n=%d): run of key %x = %v, want %v", round, n, want, got, runs[want])
 			}
 		}
 	}

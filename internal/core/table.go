@@ -19,8 +19,8 @@ package core
 // exactly one index cache line: hash the key with an inline xor-shift +
 // Fibonacci multiply, load the home bucket, compare, done — no hashing
 // call, no second indirection into the key slice, and linear probing on
-// the rare collision. MapPCSTable keeps the previous map-backed
-// implementation alive as the differential-testing oracle.
+// the rare collision. The previous map-backed implementation lives on
+// as the differential-testing oracle MapPCSTable in table_oracle_test.go.
 
 import "math/bits"
 
@@ -228,135 +228,15 @@ func (t *PCSTable) TouchBatch(d *DecayTable, tick uint64, keys []uint64, mags []
 	}
 }
 
-// TouchCols is the subspace-major batch touch the detector's hot path
-// is built on: one call processes every point of a batch through a
-// single subspace whose packed key base is keyBase. coordCols/valCols
-// hold the subspace's member dimensions as transposed columns — entry
-// i of column j is point i's interval index / raw value in member
-// dimension j — and point i is touched at tick t0+i+1. The loop fuses
-// key assembly, index probe and summary fold: nothing is materialized
-// between the stages, and because one subspace's stream revisits a
-// small recurring cell set, the probed buckets and touched cell lines
-// stay cache-resident across the run. Each point's packed cell key
-// lands in keys, its projected magnitude in mags, and its cell's
-// post-touch decayed magnitude sum and density in ss/dcs (all len ≥
-// the column length), feeding the caller's verdict pass from dense
-// arrays that reflect the cell exactly as of that point's tick — the
-// cell line itself keeps absorbing later points of the same run. Zero
-// heap allocations when every cell exists.
-func (t *PCSTable) TouchCols(d *DecayTable, t0 uint64, keyBase uint64, coordCols [][]uint8, valCols [][]float64, keys []uint64, mags []float64, ss []float64, dcs []float64) {
-	k := len(coordCols)
-	c0 := coordCols[0]
-	n := len(c0)
-	v0 := valCols[0][:n]
-	var c1, c2 []uint8
-	var v1, v2 []float64
-	if k >= 2 {
-		c1, v1 = coordCols[1][:n], valCols[1][:n]
-	}
-	if k >= 3 {
-		c2, v2 = coordCols[2][:n], valCols[2][:n]
-	}
-	keys = keys[:n]
-	mags = mags[:n]
-	ss = ss[:n]
-	dcs = dcs[:n]
-	buckets := t.buckets
-	cells := t.cells
-	var mask uint64
-	var shift uint
-	if buckets != nil {
-		mask = uint64(len(buckets) - 1)
-		shift = t.shift
-	}
-	tick := t0
-	prevKey := ^uint64(0) // no valid cell key is all-ones
-	var prevSlot uint32
-	for i := 0; i < n; i++ {
-		tick++
-		var key uint64
-		var m float64
-		// The arity switch is loop-invariant, so the branch predictor
-		// resolves it for free; arities 1–3 (the fixed group's bulk)
-		// assemble with constant shifts.
-		switch k {
-		case 1:
-			key = keyBase | uint64(c0[i])
-			m = v0[i]
-		case 2:
-			key = keyBase | uint64(c0[i]) | uint64(c1[i])<<CoordBits
-			m = v0[i] + v1[i]
-		case 3:
-			key = keyBase | uint64(c0[i]) | uint64(c1[i])<<CoordBits | uint64(c2[i])<<(2*CoordBits)
-			m = v0[i] + v1[i] + v2[i]
-		default:
-			key = keyBase
-			for j := 0; j < k; j++ {
-				key |= uint64(coordCols[j][i]) << (uint(j) * CoordBits)
-				m += valCols[j][i]
-			}
-		}
-		keys[i] = key
-		mags[i] = m
-		var slot uint32
-		if key == prevKey {
-			// Clustered streams land consecutive points in the same
-			// cell about as often as the densest cluster recurs; the
-			// repeat skips the probe entirely.
-			slot = prevSlot
-		} else if buckets == nil {
-			slot = t.GetSlot(key, tick)
-			buckets = t.buckets
-			cells = t.cells
-			mask = uint64(len(buckets) - 1)
-			shift = t.shift
-		} else {
-			j := cellHash(key) >> shift
-			for {
-				b := buckets[j]
-				if b.key == key && b.ref != 0 {
-					slot = b.ref - 1
-					break
-				}
-				if b.ref == 0 {
-					slot = t.GetSlot(key, tick)
-					buckets = t.buckets
-					cells = t.cells
-					mask = uint64(len(buckets) - 1)
-					shift = t.shift
-					break
-				}
-				j = (j + 1) & mask
-			}
-		}
-		prevKey, prevSlot = key, slot
-		// The body of PCS.Touch, inlined.
-		p := &cells[slot]
-		if p.Last != tick {
-			f := d.At(tick - p.Last)
-			p.Dc *= f
-			p.S *= f
-			p.Q *= f
-			p.Last = tick
-		}
-		p.Dc++
-		p.S += m
-		p.Q += m * m
-		ss[i] = p.S
-		dcs[i] = p.Dc
-	}
-}
-
-// AssembleCols is the key-assembly stage of TouchCols factored out for
-// the coalesced batch path: one call packs every point of a batch into
-// its cell key under the subspace whose packed key base is keyBase, and
-// sums its projected magnitude, from the member dimensions' transposed
-// columns (entry i of column j is point i's interval index / raw value
-// in member dimension j). Keys land in keys and magnitudes in mags
-// (both len ≥ the column length). The caller then groups keys by cell
-// (Grouper) and folds each run with TouchRuns — where the fused
-// TouchCols probes the index once per point, this split probes once per
-// distinct cell. Zero heap allocations.
+// AssembleCols is the key-assembly stage of the detector's batch path:
+// one call packs every point of a batch into its cell key under the
+// subspace whose packed key base is keyBase, and sums its projected
+// magnitude, from the member dimensions' transposed columns (entry i of
+// column j is point i's interval index / raw value in member dimension
+// j). Keys land in keys and magnitudes in mags (both len ≥ the column
+// length). The caller then groups keys by cell (Grouper) and folds each
+// run with TouchRuns, so the index is probed once per distinct cell
+// rather than once per point. Zero heap allocations.
 func AssembleCols(keyBase uint64, coordCols [][]uint8, valCols [][]float64, keys []uint64, mags []float64) {
 	k := len(coordCols)
 	c0 := coordCols[0]
@@ -372,7 +252,8 @@ func AssembleCols(keyBase uint64, coordCols [][]uint8, valCols [][]float64, keys
 	}
 	keys = keys[:n]
 	mags = mags[:n]
-	// The arity switch is loop-invariant (see TouchCols); arities 1–3
+	// The arity switch is loop-invariant, so the branch predictor
+	// resolves it for free; arities 1–3 (the fixed group's bulk)
 	// assemble with constant shifts.
 	switch k {
 	case 1:
@@ -404,8 +285,8 @@ func AssembleCols(keyBase uint64, coordCols [][]uint8, valCols [][]float64, keys
 	}
 }
 
-// TouchRuns is the coalesced counterpart of TouchCols: the caller has
-// already assembled the batch's cell keys for one subspace
+// TouchRuns is the batch touch the detector's hot path is built on: the
+// caller has already assembled the batch's cell keys for one subspace
 // (AssembleCols) and grouped them into per-cell runs (Grouper.Group);
 // TouchRuns probes the index once per distinct cell and folds that
 // cell's whole run — point i touches at tick t0+i+1 with magnitude
@@ -417,8 +298,9 @@ func AssembleCols(keyBase uint64, coordCols [][]uint8, valCols [][]float64, keys
 // summaries share no state, which is the whole bit-identical argument.
 // Runs of a dense stream average many points per cell, so the per-point
 // cost drops to the fold itself; misses and rehash-in-flight lookups
-// fall back to GetSlot as in TouchCols. Zero heap allocations when
-// every cell exists.
+// fall back to GetSlot, which rechecks everything and may grow the
+// index — the cached geometry is reloaded after every fallback. Zero
+// heap allocations when every cell exists.
 func (t *PCSTable) TouchRuns(d *DecayTable, t0 uint64, g *Grouper, mags, ss, dcs []float64) {
 	buckets := t.buckets
 	cells := t.cells
@@ -675,92 +557,6 @@ func (t *PCSTable) Sweep(d *DecayTable, tick uint64, eps float64, visit func(key
 // purge all cells of a subspace demoted from the SST so its ID can be
 // reused without ghost summaries.
 func (t *PCSTable) EvictIf(pred func(key uint64) bool) int {
-	evicted := 0
-	for i := 0; i < len(t.cells); {
-		if !pred(t.keys[i]) {
-			i++
-			continue
-		}
-		t.removeAt(i)
-		evicted++
-	}
-	return evicted
-}
-
-// MapPCSTable is the previous, Go-map-indexed projected-cell table,
-// kept as the differential-testing oracle for PCSTable: same dense
-// keys/cells layout and identical Get/At/Sweep/EvictIf semantics, with
-// the index maintenance delegated to a map[uint64]uint32. The
-// randomized table property test drives both implementations through
-// interleaved operation sequences and requires identical observable
-// state; the microbenchmarks use it as the perf reference the
-// open-addressed index is measured against.
-type MapPCSTable struct {
-	index map[uint64]uint32
-	keys  []uint64
-	cells []PCS
-}
-
-// NewMapPCSTable returns an empty map-indexed oracle table.
-func NewMapPCSTable() *MapPCSTable {
-	return &MapPCSTable{index: make(map[uint64]uint32)}
-}
-
-// Len returns the number of populated cells in the table.
-func (t *MapPCSTable) Len() int { return len(t.cells) }
-
-// Get returns the summary for the cell key, creating an empty summary
-// stamped at tick if the cell was not yet populated; same contract as
-// PCSTable.Get.
-func (t *MapPCSTable) Get(key uint64, tick uint64) *PCS {
-	if i, ok := t.index[key]; ok {
-		return &t.cells[i]
-	}
-	i := uint32(len(t.cells))
-	t.cells = append(t.cells, PCS{Last: tick})
-	t.keys = append(t.keys, key)
-	t.index[key] = i
-	return &t.cells[i]
-}
-
-// At returns the key and summary at dense position i (0 ≤ i < Len).
-func (t *MapPCSTable) At(i int) (uint64, *PCS) { return t.keys[i], &t.cells[i] }
-
-// removeAt evicts the cell at dense position i by swap-remove.
-func (t *MapPCSTable) removeAt(i int) {
-	last := len(t.cells) - 1
-	delete(t.index, t.keys[i])
-	if i != last {
-		t.cells[i] = t.cells[last]
-		t.keys[i] = t.keys[last]
-		t.index[t.keys[i]] = uint32(i)
-	}
-	t.cells = t.cells[:last]
-	t.keys = t.keys[:last]
-}
-
-// Sweep visits every cell once, evicting below-eps cells; same contract
-// as PCSTable.Sweep.
-func (t *MapPCSTable) Sweep(d *DecayTable, tick uint64, eps float64, visit func(key uint64, dc float64)) int {
-	evicted := 0
-	for i := 0; i < len(t.cells); {
-		dc := t.cells[i].DcAt(d, tick)
-		if dc < eps {
-			t.removeAt(i)
-			evicted++
-			continue
-		}
-		if visit != nil {
-			visit(t.keys[i], dc)
-		}
-		i++
-	}
-	return evicted
-}
-
-// EvictIf removes every cell whose key matches pred; same contract as
-// PCSTable.EvictIf.
-func (t *MapPCSTable) EvictIf(pred func(key uint64) bool) int {
 	evicted := 0
 	for i := 0; i < len(t.cells); {
 		if !pred(t.keys[i]) {

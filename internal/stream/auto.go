@@ -274,38 +274,11 @@ func (s *shard) foldAutoSample(st *subspaceState, li int, key uint64, lhs, dc, c
 	if rd >= 1 {
 		return
 	}
-	mu := ts / tdc
-	if v := tq/tdc - mu*mu; v > 0 {
-		z := math.Abs(cellS/dc-mu) / math.Sqrt(v)
-		if irsd := 1 / (1 + z); irsd < s.autoSamp[autoIRSD][ar][slot] {
-			s.autoSamp[autoIRSD][ar][slot] = irsd
-		}
+	if irsd, ok := irsdOf(cellS/dc, tdc, ts, tq); ok && irsd < s.autoSamp[autoIRSD][ar][slot] {
+		s.autoSamp[autoIRSD][ar][slot] = irsd
 	}
-	if st.invMaxDist > 0 {
-		k := s.det.cfg.K
-		repKey := s.repKeys[li*k : li*k+k]
-		repDc := s.repDcs[li*k : li*k+k]
-		sum, cnt := 0.0, 0
-		for i, rk := range repKey {
-			if repDc[i] <= 0 || rk == key {
-				continue
-			}
-			dist := 0
-			for j := 0; j < ar; j++ {
-				dj := int(core.CoordAt(key, j)) - int(core.CoordAt(rk, j))
-				if dj < 0 {
-					dj = -dj
-				}
-				dist += dj
-			}
-			sum += float64(dist)
-			cnt++
-		}
-		if cnt > 0 {
-			if ikrd := 1 - (sum/float64(cnt))*st.invMaxDist; ikrd < s.autoSamp[autoIkRD][ar][slot] {
-				s.autoSamp[autoIkRD][ar][slot] = ikrd
-			}
-		}
+	if ikrd, ok := s.ikrdOf(st, li, key); ok && ikrd < s.autoSamp[autoIkRD][ar][slot] {
+		s.autoSamp[autoIkRD][ar][slot] = ikrd
 	}
 }
 

@@ -201,8 +201,8 @@ func TestAutoThresholdRefitsUnderDrift(t *testing.T) {
 // TestAutoThresholdShardAndBatchInvariance extends the engine's core
 // invariant to auto mode: calibrated thresholds are fitted from a
 // merged, sorted census on the dispatcher, so verdicts are identical
-// across shard counts, batch vs pointwise ingestion, and both
-// coalescing modes.
+// across shard counts, pointwise ingestion and batches of 300 points
+// (straddling the 512-tick epochs) and of 63 and 1 points.
 func TestAutoThresholdShardAndBatchInvariance(t *testing.T) {
 	const n = 3 * 512
 	d := 5
@@ -224,34 +224,30 @@ func TestAutoThresholdShardAndBatchInvariance(t *testing.T) {
 		}
 		return out
 	}
-	runBatch := func(shards int, noCoalesce bool) []bool {
+	runBatch := func(shards, batch int) []bool {
 		cfg := autoTestConfig(0.01)
 		cfg.Dims = d
 		cfg.Shards = shards
-		cfg.NoCoalesce = noCoalesce
 		det, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer det.Close()
 		out := make([]bool, n)
-		for done := 0; done < n; {
-			chunk := 300
-			if done+chunk > n {
-				chunk = n - done
-			}
-			det.ProcessBatch(flat[done*d:(done+chunk)*d], out[done:done+chunk])
-			done += chunk
+		for done := 0; done < n; done += batch {
+			end := min(done+batch, n)
+			det.ProcessBatch(flat[done*d:end*d], out[done:end])
 		}
 		return out
 	}
 
 	ref := runPointwise(1)
 	variants := map[string][]bool{
-		"pointwise/shards=3":         runPointwise(3),
-		"batch/shards=1":             runBatch(1, false),
-		"batch/shards=4":             runBatch(4, false),
-		"batch/shards=4/no-coalesce": runBatch(4, true),
+		"pointwise/shards=3": runPointwise(3),
+		"batch300/shards=1":  runBatch(1, 300),
+		"batch300/shards=4":  runBatch(4, 300),
+		"batch63/shards=4":   runBatch(4, 63),
+		"batch1/shards=4":    runBatch(4, 1),
 	}
 	for name, got := range variants {
 		for i := range ref {

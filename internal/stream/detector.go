@@ -42,7 +42,8 @@ import (
 // not take the detector's learned state down with it.
 var (
 	// ErrBatchLength marks a flat batch whose length is not a multiple
-	// of the configured dimensionality.
+	// of the configured dimensionality, or a single point whose length
+	// is not exactly Dims.
 	ErrBatchLength = errors.New("stream: batch length not a multiple of Dims")
 	// ErrVerdictBuffer marks a verdict buffer shorter than the batch.
 	ErrVerdictBuffer = errors.New("stream: verdict buffer shorter than batch")
@@ -190,16 +191,6 @@ type Config struct {
 	// whose entries fade with Lambda and are evicted below
 	// EvictEpsilon at epoch sweeps. Requires Scoring. 0 disables.
 	TopK int
-	// NoCoalesce disables batch cell coalescing: ProcessBatch then
-	// always takes the fused one-probe-per-point TouchCols path instead
-	// of grouping each (subspace, batch) by cell and probing once per
-	// distinct cell. Coalescing is on by default with a per-subspace
-	// adaptive gate that already falls back on duplication-free
-	// workloads, and both paths fold identical arithmetic in identical
-	// per-cell tick order — verdicts are bit-identical — so the flag
-	// exists to measure the coalescing win (the bench harness records
-	// both) and to debug with the simpler path.
-	NoCoalesce bool
 	// AutoThreshold, when enabled (Risk > 0), replaces the fixed
 	// RD/IRSD/IkRD verdict thresholds with EVT-calibrated ones: the
 	// detector samples the per-point measure distribution on a
@@ -470,8 +461,9 @@ func (d *Detector) Tick() uint64 { return d.tick }
 // interval row feeds the base-cell table and every shard.
 //
 // Input contract: out-of-range finite coordinates clamp to edge
-// cells; a NaN or ±Inf coordinate panics with ErrNonFinite before any
-// state is touched (ProcessErr returns it as an error instead).
+// cells; a point of other than Dims values panics with ErrBatchLength
+// and a NaN or ±Inf coordinate with ErrNonFinite, both before any
+// state is touched (ProcessErr returns them as errors instead).
 func (d *Detector) Process(point []float64) bool {
 	out, err := d.ProcessErr(point)
 	if err != nil {
@@ -481,11 +473,15 @@ func (d *Detector) Process(point []float64) bool {
 }
 
 // ProcessErr is Process with validation instead of panics: a closed
-// detector or a point carrying a non-finite coordinate returns a
-// typed error (ErrClosed, ErrNonFinite) before any state is touched.
+// detector, a point of the wrong length or a point carrying a
+// non-finite coordinate returns a typed error (ErrClosed,
+// ErrBatchLength, ErrNonFinite) before any state is touched.
 func (d *Detector) ProcessErr(point []float64) (bool, error) {
 	if d.closed {
 		return false, ErrClosed
+	}
+	if len(point) != d.cfg.Dims {
+		return false, fmt.Errorf("%w: point has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
 	}
 	if err := checkFinite(point, d.cfg.Dims); err != nil {
 		return false, err

@@ -97,18 +97,17 @@ func TestShardInvariance(t *testing.T) {
 }
 
 // TestBatchMatchesPointwise checks ProcessBatch produces exactly the
-// verdicts of point-by-point Process on the same stream — with batch
-// cell coalescing on (the default) and with the Config.NoCoalesce
-// escape hatch forcing the fused per-point path, pinning the three-way
-// equivalence the coalesced fold argues for.
+// verdicts of point-by-point Process on the same stream, in full
+// 256-point batches and in 37-point batches — small enough that the
+// grouper's index shrinks to the batch, and misaligned with the 256-
+// and 2048-tick boundaries.
 func TestBatchMatchesPointwise(t *testing.T) {
-	const d, n, batch = 8, 2048, 256
-	mk := func(noCoalesce bool) *Detector {
+	const d, n = 8, 2048
+	mk := func() *Detector {
 		cfg := DefaultConfig(d)
 		cfg.MaxSubspaceDim = 2
 		cfg.Shards = 4
 		cfg.Warmup = 100
-		cfg.NoCoalesce = noCoalesce
 		det, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -120,34 +119,31 @@ func TestBatchMatchesPointwise(t *testing.T) {
 	labels := make([]bool, n)
 	gen.Fill(flat, labels, n)
 
-	pointwise := mk(false)
+	pointwise := mk()
 	defer pointwise.Close()
 	want := make([]bool, n)
 	for i := 0; i < n; i++ {
 		want[i] = pointwise.Process(flat[i*d : (i+1)*d])
 	}
 
-	for _, noCoalesce := range []bool{false, true} {
-		batched := mk(noCoalesce)
+	for _, batch := range []int{256, 37} {
+		batched := mk()
 		defer batched.Close()
 		got := make([]bool, n)
 		for off := 0; off < n; off += batch {
-			batched.ProcessBatch(flat[off*d:(off+batch)*d], got[off:off+batch])
+			end := min(off+batch, n)
+			batched.ProcessBatch(flat[off*d:end*d], got[off:end])
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("verdict for point %d (NoCoalesce=%v): batch=%v pointwise=%v", i, noCoalesce, got[i], want[i])
+				t.Fatalf("verdict for point %d (batch %d): batch=%v pointwise=%v", i, batch, got[i], want[i])
 			}
 		}
 		if pointwise.Tick() != batched.Tick() {
-			t.Fatalf("tick mismatch (NoCoalesce=%v): %d vs %d", noCoalesce, pointwise.Tick(), batched.Tick())
+			t.Fatalf("tick mismatch (batch %d): %d vs %d", batch, pointwise.Tick(), batched.Tick())
 		}
-		s := batched.Stats()
-		if noCoalesce && s.CoalesceGroupings != 0 {
-			t.Fatalf("NoCoalesce detector recorded %d grouping passes, want 0", s.CoalesceGroupings)
-		}
-		if !noCoalesce && s.CoalesceGroupings == 0 {
-			t.Fatal("coalescing detector recorded no grouping passes on a clustered stream")
+		if s := batched.Stats(); s.CoalesceGroupings == 0 {
+			t.Fatalf("batch %d: no grouping passes recorded", batch)
 		}
 	}
 }

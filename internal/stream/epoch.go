@@ -295,16 +295,15 @@ type Stats struct {
 	// retained for supervised evolution.
 	Examples int
 	// CoalescedPoints, CoalescedDistinct and CoalesceGroupings describe
-	// the batch-coalescing path's duplication: across every grouping
-	// pass (one per subspace per sub-batch, when the coalesced path
-	// ran), how many point touches were folded, how many distinct cells
-	// they collapsed into, and how many passes there were.
+	// the batch path's duplication: across every grouping pass (one per
+	// subspace per sub-batch, epoch-split sub-batches included), how
+	// many point touches were folded, how many distinct cells they
+	// collapsed into, and how many passes there were.
 	// CoalescedDistinct/CoalesceGroupings is the average distinct-cell
 	// count per (subspace, batch) and CoalescedPoints/CoalescedDistinct
 	// the duplication ratio — the factor by which coalescing cuts index
-	// probes on this workload. All zero in pointwise mode, with
-	// Config.NoCoalesce set, or when the adaptive gate routed every
-	// subspace to the fused path.
+	// probes on this workload. Points ingested through Process are not
+	// grouped and count nowhere here; all zero in pointwise mode.
 	CoalescedPoints   uint64
 	CoalescedDistinct uint64
 	CoalesceGroupings uint64

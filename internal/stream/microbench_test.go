@@ -11,12 +11,11 @@ import (
 // time the steady-state ingestion path alone. With scoring on, the
 // warm-up ingests run scored so the attribution buffers and score
 // scratch reach their watermarks too.
-func microbenchDetector(tb testing.TB, shards int, noCoalesce, scoring bool) (*Detector, []float64, []bool, []float64) {
+func microbenchDetector(tb testing.TB, shards int, scoring bool) (*Detector, []float64, []bool, []float64) {
 	const d, batch = 20, 512
 	cfg := DefaultConfig(d)
 	cfg.Shards = shards
 	cfg.EpochTicks = 1 << 40 // no sweep inside the measured window
-	cfg.NoCoalesce = noCoalesce
 	cfg.Scoring = scoring
 	if scoring {
 		cfg.TopK = 16
@@ -48,7 +47,7 @@ func microbenchDetector(tb testing.TB, shards int, noCoalesce, scoring bool) (*D
 // through every SST subspace, reported with allocations (steady state
 // must be zero — TestProcessZeroAllocs is the hard gate).
 func BenchmarkProcessPoint(b *testing.B) {
-	det, flat, _, _ := microbenchDetector(b, 1, false, false)
+	det, flat, _, _ := microbenchDetector(b, 1, false)
 	defer det.Close()
 	d := 20
 	points := len(flat) / d
@@ -60,25 +59,21 @@ func BenchmarkProcessPoint(b *testing.B) {
 }
 
 // BenchmarkProcessBatch measures the batch hot path (subspace-major
-// tiling, discretization plane, word-wise verdict merge) at 1 and 4
-// shards with cell coalescing on (the default), plus the shards=1 grid
-// point with Config.NoCoalesce forcing the fused per-point path — the
-// coalescing win on a clustered stream is the ratio of the two — and a
-// scored shards=1 point isolating the ensemble-scoring overhead.
+// tiling, discretization plane, cell coalescing, word-wise verdict
+// merge) at 1 and 4 shards, plus a scored shards=1 point isolating the
+// ensemble-scoring overhead.
 func BenchmarkProcessBatch(b *testing.B) {
 	for _, v := range []struct {
-		name       string
-		shards     int
-		noCoalesce bool
-		scoring    bool
+		name    string
+		shards  int
+		scoring bool
 	}{
-		{"shards=1", 1, false, false},
-		{"shards=4", 4, false, false},
-		{"shards=1/nocoalesce", 1, true, false},
-		{"shards=1/scored", 1, false, true},
+		{"shards=1", 1, false},
+		{"shards=4", 4, false},
+		{"shards=1/scored", 1, true},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			det, flat, out, scores := microbenchDetector(b, v.shards, v.noCoalesce, v.scoring)
+			det, flat, out, scores := microbenchDetector(b, v.shards, v.scoring)
 			defer det.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -97,26 +92,22 @@ func BenchmarkProcessBatch(b *testing.B) {
 }
 
 // TestProcessBatchZeroAllocs pins the steady-state contract of the
-// batch path in both flavors: re-ingesting a batch whose cells all
-// exist performs zero heap allocations — scratch planes, verdict
-// bitsets, the grouping scratch and table probes all reuse their
-// buffers. make microbench runs this gate alongside the benchmarks.
+// batch path: re-ingesting a batch whose cells all exist performs zero
+// heap allocations — scratch planes, verdict bitsets, the grouping
+// scratch and table probes all reuse their buffers. make microbench
+// runs this gate alongside the benchmarks. The subtest is named for the
+// coalescing batch path, which is the only batch path.
 func TestProcessBatchZeroAllocs(t *testing.T) {
-	for _, v := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"coalesce", false}, {"nocoalesce", true}} {
-		t.Run(v.name, func(t *testing.T) {
-			det, flat, out, _ := microbenchDetector(t, 2, v.noCoalesce, false)
-			defer det.Close()
-			allocs := testing.AllocsPerRun(20, func() {
-				det.ProcessBatch(flat, out)
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state ProcessBatch (%s) allocates %.1f times per batch, want 0", v.name, allocs)
-			}
+	t.Run("coalesce", func(t *testing.T) {
+		det, flat, out, _ := microbenchDetector(t, 2, false)
+		defer det.Close()
+		allocs := testing.AllocsPerRun(20, func() {
+			det.ProcessBatch(flat, out)
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("steady-state ProcessBatch allocates %.1f times per batch, want 0", allocs)
+		}
+	})
 }
 
 // TestProcessBatchScoredZeroAllocs extends the zero-alloc gate to the
@@ -125,7 +116,7 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 // ensemble scores, attribution merge-sort, top-K maintenance and the
 // Explain/TopK queries against it — allocates nothing.
 func TestProcessBatchScoredZeroAllocs(t *testing.T) {
-	det, flat, out, scores := microbenchDetector(t, 2, false, true)
+	det, flat, out, scores := microbenchDetector(t, 2, true)
 	defer det.Close()
 	attrs := make([]Attribution, 0, 256)
 	offs := make([]Offender, 0, 16)
@@ -146,7 +137,7 @@ func TestProcessBatchScoredZeroAllocs(t *testing.T) {
 // TestProcessScoredZeroAllocs is the pointwise equivalent: scored
 // single-point ingestion stays allocation-free in steady state.
 func TestProcessScoredZeroAllocs(t *testing.T) {
-	det, flat, _, _ := microbenchDetector(t, 1, false, true)
+	det, flat, _, _ := microbenchDetector(t, 1, true)
 	defer det.Close()
 	const d = 20
 	points := len(flat) / d

@@ -125,3 +125,59 @@ func TestNonFinitePanicsOnPanicAPI(t *testing.T) {
 		det.ProcessBatch([]float64{1, 2, 3, math.Inf(1)}, make([]bool, 2))
 	})
 }
+
+// TestWrongLengthPointRejected: a single point of other than Dims
+// values — short or long — returns ErrBatchLength from ProcessErr (and
+// panics with it from Process) before any state is touched: the tick
+// stays put and every later verdict matches a twin detector that never
+// saw the malformed calls.
+func TestWrongLengthPointRejected(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.EpochTicks = 128
+	dirty, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dirty.Close()
+	clean, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+
+	warm := uniformStream(47, cfg.Dims)
+	buf := make([]float64, cfg.Dims)
+	for i := 0; i < 300; i++ {
+		warm(buf)
+		dirty.Process(buf)
+		clean.Process(buf)
+	}
+	tick := dirty.Tick()
+	for _, pt := range [][]float64{
+		{0.1, 0.2},
+		{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8},
+		{},
+	} {
+		if _, err := dirty.ProcessErr(pt); !errors.Is(err, ErrBatchLength) {
+			t.Fatalf("ProcessErr(%d values) = %v, want ErrBatchLength", len(pt), err)
+		}
+		func() {
+			defer func() {
+				if e, ok := recover().(error); !ok || !errors.Is(e, ErrBatchLength) {
+					t.Fatalf("Process(%d values) panicked with %v, want ErrBatchLength", len(pt), e)
+				}
+			}()
+			dirty.Process(pt)
+		}()
+		if got := dirty.Tick(); got != tick {
+			t.Fatalf("rejected %d-value point moved the tick: %d -> %d", len(pt), tick, got)
+		}
+	}
+	dv := feedClean(t, dirty, 600)
+	cv := feedClean(t, clean, 600)
+	for i := range dv {
+		if dv[i] != cv[i] {
+			t.Fatalf("verdict %d diverged after rejected points: dirty=%v clean=%v", i, dv[i], cv[i])
+		}
+	}
+}

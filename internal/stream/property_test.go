@@ -87,7 +87,12 @@ func TestShardInvarianceProperty(t *testing.T) {
 			return sst.Multi{ts, mg}
 		}
 
-		runShards := func(shards int, noCoalesce, scoring bool) ([]bool, []float64, Stats, []uint16) {
+		// runShards feeds the stream through a detector with the given
+		// shard count. feed > 0 re-cuts every batch of the plan into
+		// feed-point sub-batches (the supervised feedback still lands
+		// at the plan's batch boundaries, so every run sees the
+		// identical feedback sequence); 0 feeds the plan as is.
+		runShards := func(shards, feed int, scoring bool) ([]bool, []float64, Stats, []uint16) {
 			cfg := DefaultConfig(d)
 			cfg.MaxSubspaceDim = maxDim
 			cfg.Shards = shards
@@ -96,7 +101,6 @@ func TestShardInvarianceProperty(t *testing.T) {
 			cfg.EpochTicks = epoch
 			cfg.EvictEpsilon = 1e-4
 			cfg.RDPopulatedThreshold = 0.2
-			cfg.NoCoalesce = noCoalesce
 			cfg.Scoring = scoring
 			if scoring {
 				cfg.TopK = 8
@@ -114,10 +118,17 @@ func TestShardInvarianceProperty(t *testing.T) {
 			}
 			off := 0
 			for _, b := range batches {
-				if scoring {
-					det.ProcessBatchScored(flat[off*d:(off+b)*d], verdicts[off:off+b], scores[off:off+b])
-				} else {
-					det.ProcessBatch(flat[off*d:(off+b)*d], verdicts[off:off+b])
+				step := b
+				if feed > 0 {
+					step = feed
+				}
+				for lo := off; lo < off+b; lo += step {
+					hi := min(lo+step, off+b)
+					if scoring {
+						det.ProcessBatchScored(flat[lo*d:hi*d], verdicts[lo:hi], scores[lo:hi])
+					} else {
+						det.ProcessBatch(flat[lo*d:hi*d], verdicts[lo:hi])
+					}
 				}
 				if supervised {
 					// The analyst confirms every planted outlier of the
@@ -137,17 +148,15 @@ func TestShardInvarianceProperty(t *testing.T) {
 			return verdicts, scores, det.Stats(), evolved
 		}
 
-		baseV, _, baseS, baseE := runShards(1, false, false)
-		// Shard counts with coalescing on, plus the NoCoalesce escape
-		// hatch at two shard counts: the coalesced run-fold and the
-		// fused per-point path must agree bit for bit, as must every
-		// shard partitioning of either.
+		baseV, _, baseS, baseE := runShards(1, 0, false)
+		// Shard counts on the batch plan, plus two shard counts fed in
+		// 1- and 63-point sub-batches: every batch size must group and
+		// fold to the same bits, as must every shard partitioning.
 		for _, v := range []struct {
-			shards     int
-			noCoalesce bool
-		}{{4, false}, {8, false}, {1, true}, {4, true}} {
-			variant := fmt.Sprintf("%d shards (NoCoalesce=%v)", v.shards, v.noCoalesce)
-			vv, _, s, e := runShards(v.shards, v.noCoalesce, false)
+			shards, feed int
+		}{{4, 0}, {8, 0}, {1, 1}, {1, 63}, {4, 1}, {4, 63}} {
+			variant := fmt.Sprintf("%d shards (feed=%d)", v.shards, v.feed)
+			vv, _, s, e := runShards(v.shards, v.feed, false)
 			for i := range baseV {
 				if vv[i] != baseV[i] {
 					t.Fatalf("%s: verdict for point %d differs at %s", scenario, i, variant)
@@ -167,11 +176,11 @@ func TestShardInvarianceProperty(t *testing.T) {
 		}
 
 		// Scoring legs. Enabling scoring must not move a single verdict
-		// bit, scores must be bit-identical across coalesce modes at a
+		// bit, scores must be bit-identical across batch sizes at a
 		// fixed shard count, and across shard counts they may differ
 		// only by the documented popFloor summation-order ULPs — bounded
 		// here at 1e-9.
-		scoredV, scoredScores, _, _ := runShards(1, false, true)
+		scoredV, scoredScores, _, _ := runShards(1, 0, true)
 		for i := range baseV {
 			if scoredV[i] != baseV[i] {
 				t.Fatalf("%s: scoring changed the verdict for point %d", scenario, i)
@@ -180,15 +189,17 @@ func TestShardInvarianceProperty(t *testing.T) {
 				t.Fatalf("%s: point %d verdict=%v but score=%g", scenario, i, baseV[i], scoredScores[i])
 			}
 		}
-		_, ncScores, _, _ := runShards(1, true, true)
-		for i := range scoredScores {
-			if ncScores[i] != scoredScores[i] {
-				t.Fatalf("%s: score for point %d differs between coalesce modes: %g vs %g",
-					scenario, i, ncScores[i], scoredScores[i])
+		for _, feed := range []int{1, 63} {
+			_, fScores, _, _ := runShards(1, feed, true)
+			for i := range scoredScores {
+				if fScores[i] != scoredScores[i] {
+					t.Fatalf("%s: score for point %d differs at feed=%d: %g vs %g",
+						scenario, i, feed, fScores[i], scoredScores[i])
+				}
 			}
 		}
 		for _, shards := range []int{4, 8} {
-			shV, shScores, _, _ := runShards(shards, false, true)
+			shV, shScores, _, _ := runShards(shards, 0, true)
 			for i := range scoredScores {
 				if shV[i] != baseV[i] {
 					t.Fatalf("%s: scored verdict for point %d differs at %d shards", scenario, i, shards)

@@ -273,8 +273,18 @@ func (o *scoreOracle) sweep(tick uint64) {
 // detector and the brute-force oracle side by side, requiring bitwise
 // agreement on every verdict, score, attribution entry (subspace,
 // cell, fired measures, severity) and the final top-K — with epoch
-// sweeps keeping the popRD floor live so all four measures fire.
+// sweeps keeping the popRD floor live so all four measures fire. The
+// stream goes in once pointwise (ProcessScored) and once through
+// ProcessBatchScored in 100-point batches, which the 128-tick epochs
+// split mid-batch; the oracle stays pointwise for both.
 func TestAttributionOracle(t *testing.T) {
+	t.Run("pointwise", func(t *testing.T) { attributionOracle(t, 0) })
+	t.Run("batch100", func(t *testing.T) { attributionOracle(t, 100) })
+}
+
+// attributionOracle runs one TestAttributionOracle leg: batch 0 feeds
+// the stream point by point, batch > 0 in batches of that many points.
+func attributionOracle(t *testing.T, batch int) {
 	const d, n = 6, 2000
 	cfg := DefaultConfig(d)
 	cfg.MaxSubspaceDim = 2
@@ -298,23 +308,36 @@ func TestAttributionOracle(t *testing.T) {
 	o := newScoreOracle(t, det, cfg)
 	tk := &topkOracle{lambda: cfg.Lambda}
 
-	gcfg := bench.DefaultGenConfig(d)
-	gen := bench.NewGenerator(gcfg)
-	buf := make([]float64, d)
+	gen := bench.NewGenerator(bench.DefaultGenConfig(d))
+	flat := make([]float64, n*d)
+	for i := 0; i < n; i++ {
+		gen.Next(flat[i*d : (i+1)*d])
+	}
+	step := max(batch, 1)
+	out := make([]bool, step)
+	scores := make([]float64, step)
 	var explain []Attribution
 	var measuresSeen core.Measure
 	flagged := 0
 	for i := 0; i < n; i++ {
-		gen.Next(buf)
-		gotFlag, gotScore := det.ProcessScored(buf)
-		wantFlag, wantScore, wantAttrs := o.process(buf)
+		rel := i % step
+		if rel == 0 {
+			hi := min(i+step, n)
+			if batch == 0 {
+				out[0], scores[0] = det.ProcessScored(flat[i*d : hi*d])
+			} else {
+				det.ProcessBatchScored(flat[i*d:hi*d], out, scores)
+			}
+		}
+		gotFlag, gotScore := out[rel], scores[rel]
+		wantFlag, wantScore, wantAttrs := o.process(flat[i*d : (i+1)*d])
 		if gotFlag != wantFlag {
 			t.Fatalf("point %d: verdict %v, oracle %v", i, gotFlag, wantFlag)
 		}
-		if gotScore != wantScore {
+		if math.Float64bits(gotScore) != math.Float64bits(wantScore) {
 			t.Fatalf("point %d: score %g, oracle %g", i, gotScore, wantScore)
 		}
-		explain = det.Explain(0, explain[:0])
+		explain = det.Explain(rel, explain[:0])
 		if len(explain) != len(wantAttrs) {
 			t.Fatalf("point %d: %d attribution entries, oracle %d\n got %+v\nwant %+v",
 				i, len(explain), len(wantAttrs), explain, wantAttrs)

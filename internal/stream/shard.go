@@ -64,18 +64,6 @@ type subspaceState struct {
 	size       uint8   // subspace arity
 	phiPow     float64 // φ^arity, the cell count under uniformity
 	invMaxDist float64 // 1/((φ-1)*arity); 0 when φ==1
-
-	// skipCoalesce is the adaptive gate of the coalesced batch path:
-	// when a grouping pass finds almost no duplication (distinct cells
-	// above the coalesceDupNum/coalesceDupDen fraction of the batch),
-	// the next skipCoalesce batches of this subspace take the fused
-	// pointwise TouchCols instead, then one batch re-groups to
-	// re-measure. Duplication is a property of the
-	// subspace's projection (low-arity subspaces have few cells, high-
-	// arity ones many), so the gate is per subspace; it depends only on
-	// the subspace's own stream, never on shard layout, and both paths
-	// produce bit-identical summaries, so verdicts are unaffected.
-	skipCoalesce uint8
 }
 
 // shard owns an exclusive partition of the SST: the cell table, totals
@@ -108,7 +96,7 @@ type shard struct {
 	// (the subspace-major tiling of processBatch transposes the pass
 	// structure: the arrays then span the batch's points for one
 	// subspace at a time), plus the column headers handed to
-	// core.TouchCols.
+	// core.AssembleCols.
 	bKeys []uint64
 	bMags []float64
 	bSS   []float64
@@ -137,10 +125,11 @@ type shard struct {
 	// grouper is the batch-coalescing scratch, shared across the
 	// shard's subspaces: one subspace groups, folds and finishes its
 	// verdict pass before the next subspace regroups, so a single
-	// grouper per shard keeps the whole coalesced path at zero
-	// steady-state allocations. coalPoints/coalDistinct/coalGroupings
-	// count the points, distinct cells and passes of every grouping —
-	// the duplication statistics Stats and the bench harness report.
+	// grouper per shard keeps the whole batch path at zero steady-state
+	// allocations. coalPoints/coalDistinct/coalGroupings count the
+	// points, distinct cells and passes of every grouping — one pass per
+	// (subspace, sub-batch) — the duplication statistics Stats and the
+	// bench harness report.
 	grouper       core.Grouper
 	coalPoints    uint64
 	coalDistinct  uint64
@@ -164,23 +153,6 @@ type shard struct {
 	// and sorts, so scores never depend on the shard layout.
 	attr attrBuf
 }
-
-// Adaptive-gate constants of the coalesced batch path: a grouping pass
-// that finds more than (coalesceDupNum/coalesceDupDen)·n distinct
-// cells — i.e. almost every point in its own cell, so
-// one-probe-per-cell saves nothing over one-probe-per-point — sends
-// the subspace to the fused TouchCols for coalesceBackoff batches
-// before re-measuring. Sub-batches under coalesceMinBatch points (an
-// epoch split can cut a batch to a handful) take the fused path
-// outright, without touching the gate: their distinct ratio is high by
-// construction and grouping them would pay the scratch-index clear for
-// nothing.
-const (
-	coalesceBackoff  = 31
-	coalesceMinBatch = 64
-	coalesceDupNum   = 7
-	coalesceDupDen   = 8
-)
 
 // evolvedCell is a surviving evolved-subspace cell recorded during a
 // sweep, revisited for sparse classification once its subspace's
@@ -353,12 +325,11 @@ func (s *shard) processPoint(point []float64, coords []uint8, tick uint64, sampl
 	tbl.TouchBatch(decay, tick, keys, mags, slots, dcs)
 	// Pass 3: representatives and verdicts — a purely sequential walk
 	// over states, reps and dcs; the only random access left is the
-	// rare outlyingSlow call. The all-measures-pass verdict exit is
-	// decided inline for both the scored and unscored verdicts — one
-	// multiply and three compares, no division, no call — and only
-	// cells that flag on RD, sit under the populated floor, or fall
-	// below the uniform expectation (rd < 1, the gate for the costlier
-	// IRSD/IkRD measures) go on to scoredVerdict or outlyingSlow.
+	// rare scoredVerdict call. The all-measures-pass verdict exit is
+	// decided inline — one multiply and three compares, no division, no
+	// call — and only cells that flag on RD, sit under the populated
+	// floor, or fall below the uniform expectation (rd < 1, the gate for
+	// the costlier IRSD/IkRD measures) go on to scoredVerdict.
 	out := false
 	warmup := cfg.Warmup
 	k := cfg.K
@@ -443,14 +414,11 @@ func (s *shard) processPoint(point []float64, coords []uint8, tick uint64, sampl
 		if allPass(lhs, rhs, dc, st.popFloor, tot) {
 			continue
 		}
-		if scoring {
-			fired, sev := s.scoredVerdict(st, li, key, lhs, dc, tbl.CellAt(slots[li]).S, tot, st.total.S, st.total.Q, st.rdThr)
-			if fired != 0 {
-				out = true
+		if fired, sev := s.scoredVerdict(st, li, key, lhs, dc, tbl.CellAt(slots[li]).S, tot, st.total.S, st.total.Q, st.rdThr); fired != 0 {
+			out = true
+			if scoring {
 				s.attr.add(0, s.subs[li], key, fired, sev)
 			}
-		} else if lhs < rhs || dc < st.popFloor || (lhs < tot && s.outlyingSlow(st, li, key, tbl.CellAt(slots[li]).Mean(), tot, st.total.S, st.total.Q)) {
-			out = true
 		}
 	}
 	return out
@@ -461,11 +429,10 @@ func (s *shard) processPoint(point []float64, coords []uint8, tick uint64, sampl
 // outright — RD at or above its threshold (lhs = dc·φ^arity against
 // rhs = rdThr·tdc), density at or above the populated floor, and
 // rd ≥ 1, the gate in front of IRSD and IkRD. It is the exact
-// complement of the conditions under which scoredVerdict or the
-// unscored test can fire; the >= compares send a NaN to the full
-// evaluation rather than through the exit. Small enough to inline
-// (scripts/inline_check.sh guards this), it keeps the common pair free
-// of calls.
+// complement of the conditions under which scoredVerdict can fire; the
+// >= compares send a NaN to the full evaluation rather than through the
+// exit. Small enough to inline (scripts/inline_check.sh guards this),
+// it keeps the common pair free of calls.
 func allPass(lhs, rhs, dc, popFloor, tdc float64) bool {
 	return lhs >= rhs && dc >= popFloor && lhs >= tdc
 }
@@ -484,24 +451,23 @@ func allPass(lhs, rhs, dc, popFloor, tdc float64) bool {
 // within a subspace, so verdicts are identical; only the interleaving
 // across subspaces — which shares no state — differs.
 //
-// Pass A+B come in two equivalent flavors. The default coalesced path
-// assembles the subspace's keys, groups the batch by cell
-// (core.Grouper) and probes the table once per *distinct* cell, folding
-// each cell's run of touches with the summary in registers
-// (core.TouchRuns) — on a dense stream most of a batch lands in a few
-// cells per subspace, so the per-point index probe and cell-line
-// traffic collapse into one per cell. The fused TouchCols
-// (assemble+probe+fold per point) remains as the fallback, taken when
-// Config.NoCoalesce is set or the subspace's adaptive gate saw no
-// duplication worth grouping. Both fold the identical arithmetic in
-// the identical per-cell tick order, so summaries — and therefore
-// verdicts — are bit-identical either way.
+// Pass A+B assembles the subspace's keys (core.AssembleCols), groups
+// the batch by cell (core.Grouper) and probes the table once per
+// *distinct* cell, folding each cell's run of touches with the summary
+// in registers (core.TouchRuns) — on a dense stream most of a batch
+// lands in a few cells per subspace, so the per-point index probe and
+// cell-line traffic collapse into one per cell. Every batch takes this
+// path, epoch-split sub-batches of a handful of points included: the
+// grouper sizes its index to the batch, so a small batch pays a small
+// clear. Each cell folds the pointwise arithmetic in the pointwise
+// per-cell tick order, so summaries — and therefore verdicts — are
+// bit-identical to processPoint's.
 //
 // Past TouchRuns, pass C keeps the common pair call-free, as in
 // processPoint: the decay lookups inline, the all-pass exit is inline
-// (scoredVerdict and outlyingSlow run only for pairs that may fire),
-// and the auto-threshold sample slots come precomputed per batch in
-// jb.slots, so no pair divides by the epoch geometry.
+// (scoredVerdict runs only for pairs that may fire), and the
+// auto-threshold sample slots come precomputed per batch in jb.slots,
+// so no pair divides by the epoch geometry.
 func (s *shard) processBatch(jb job) {
 	words := (jb.n + 63) >> 6
 	if cap(s.verdict) < words {
@@ -533,7 +499,6 @@ func (s *shard) processBatch(jb job) {
 	}
 	f1 := decay.At(1)
 	flatT, planeT := jb.flatT, jb.planeT
-	noCoalesce := cfg.NoCoalesce
 	// Auto-thresholding samples the per-point measure values on a
 	// deterministic tick stride. The slot of tick t0+i+1 depends on the
 	// tick alone, so the dispatcher computes the batch's slots once
@@ -552,29 +517,14 @@ func (s *shard) processBatch(jb job) {
 			cc = append(cc, planeT[off:off+n])
 			vv = append(vv, flatT[off:off+n])
 		}
-		// Pass A+B: coalesced (group by cell, one probe per distinct
-		// cell, run folds) unless the escape hatch, a tiny epoch-split
-		// sub-batch (nothing to amortize, and grouping would clear the
-		// steady-state-sized scratch index per subspace for it) or the
-		// adaptive gate routes this subspace to the fused per-point
-		// TouchCols.
-		if noCoalesce || n < coalesceMinBatch || st.skipCoalesce > 0 {
-			if !noCoalesce && n >= coalesceMinBatch {
-				st.skipCoalesce--
-			}
-			tbl.TouchCols(decay, jb.t0, st.keyBase, cc, vv, keys, mags, ss, dcs)
-		} else {
-			core.AssembleCols(st.keyBase, cc, vv, keys, mags)
-			s.grouper.Group(keys)
-			distinct := s.grouper.Groups()
-			s.coalPoints += uint64(n)
-			s.coalDistinct += uint64(distinct)
-			s.coalGroupings++
-			tbl.TouchRuns(decay, jb.t0, &s.grouper, mags, ss, dcs)
-			if distinct*coalesceDupDen > n*coalesceDupNum {
-				st.skipCoalesce = coalesceBackoff
-			}
-		}
+		// Pass A+B: assemble keys, group by cell, one probe and one run
+		// fold per distinct cell.
+		core.AssembleCols(st.keyBase, cc, vv, keys, mags)
+		s.grouper.Group(keys)
+		s.coalPoints += uint64(n)
+		s.coalDistinct += uint64(s.grouper.Groups())
+		s.coalGroupings++
+		tbl.TouchRuns(decay, jb.t0, &s.grouper, mags, ss, dcs)
 		// Pass C: totals fold (the body of PCS.Touch, inlined), IkRD
 		// representative upkeep and verdicts, per point in tick order —
 		// the subspace totals trajectory each point's verdict compares
@@ -671,13 +621,11 @@ func (s *shard) processBatch(jb job) {
 			if allPass(lhs, rhs, dc, popFloor, tdc) {
 				continue
 			}
-			if scoring {
-				if fired, sev := s.scoredVerdict(st, li, key, lhs, dc, ss[i], tdc, ts, tq, rdThr); fired != 0 {
-					verdict[i>>6] |= 1 << (uint(i) & 63)
+			if fired, sev := s.scoredVerdict(st, li, key, lhs, dc, ss[i], tdc, ts, tq, rdThr); fired != 0 {
+				verdict[i>>6] |= 1 << (uint(i) & 63)
+				if scoring {
 					s.attr.add(int32(i), s.subs[li], key, fired, sev)
 				}
-			} else if lhs < rhs || dc < popFloor || (lhs < tdc && s.outlyingSlow(st, li, key, ss[i]/dc, tdc, ts, tq)) {
-				verdict[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
 		tt.Dc, tt.S, tt.Q, tt.Last = tdc, ts, tq, tlast
@@ -777,76 +725,21 @@ func (s *shard) refreshPopFloors() {
 	}
 }
 
-// outlyingSlow evaluates the measures the inline verdict fast path
-// cannot decide: the RD flag, the arity-aware populated-RD flag and
-// the RD < 1 exit run inline (when a subspace's mass concentrates in
-// few cells, a cell can sit at or above the uniform expectation yet
-// still be far below its populated peers, so the populated floor is
-// checked before the rd < 1 gate), and only cells below the uniform
-// expectation reach the IRSD/IkRD evaluations here. The cell's mean
-// member magnitude and the subspace totals are passed as scalars,
-// snapshotted at the point's tick: the batch path keeps the totals in
-// registers (st.total is written back only at batch end) and the cell
-// line keeps absorbing later points of the same batch, so neither may
-// be re-read here.
-func (s *shard) outlyingSlow(st *subspaceState, li int, key uint64, cellMean, tdc, ts, tq float64) bool {
-	cfg := &s.det.cfg
-	if st.irsdThr > 0 && tdc > 0 {
-		// Inverse Relative Standard Deviation: how far the cell's
-		// mean member magnitude sits from the subspace mean, in
-		// subspace standard deviations, mapped to (0,1] by 1/(1+z).
-		mu := ts / tdc
-		if v := tq/tdc - mu*mu; v > 0 {
-			z := math.Abs(cellMean-mu) / math.Sqrt(v)
-			if 1/(1+z) < st.irsdThr {
-				return true
-			}
-		}
-	}
-	if st.ikrdThr > 0 && st.invMaxDist > 0 {
-		// Inverse k-Relative Distance: mean grid (L1) distance from
-		// the cell to the subspace's k densest cells, normalized by
-		// the subspace's diameter and inverted so that far-from-
-		// everything cells score low.
-		k := cfg.K
-		repKey := s.repKeys[li*k : li*k+k]
-		repDc := s.repDcs[li*k : li*k+k]
-		sum, cnt := 0.0, 0
-		for i, rk := range repKey {
-			if repDc[i] <= 0 || rk == key {
-				continue
-			}
-			dist := 0
-			for j := 0; j < int(st.size); j++ {
-				dj := int(core.CoordAt(key, j)) - int(core.CoordAt(rk, j))
-				if dj < 0 {
-					dj = -dj
-				}
-				dist += dj
-			}
-			sum += float64(dist)
-			cnt++
-		}
-		if cnt > 0 {
-			ikrd := 1 - (sum/float64(cnt))*st.invMaxDist
-			if ikrd < st.ikrdThr {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// scoredVerdict is the scoring-path verdict for one (subspace, cell)
-// pair: the same gate set as the unscored fast path — RD, the
-// populated floor, and IRSD/IkRD behind the rd < 1 gate — but
-// returning the full set of fired measures and the maximum normalized
-// deficit (core.Deficit) among them instead of short-circuiting on the
-// first hit. fired != 0 exactly when the unscored path would have
-// flagged, which is what keeps verdict bits identical with scoring on.
-// cellS is the cell's post-touch decayed magnitude sum; the mean is
-// only derived past the rd < 1 gate, mirroring the unscored cost
-// profile. Reached only past the warmup gate.
+// scoredVerdict is the verdict for one (subspace, cell) pair that
+// failed the inline all-pass exit: RD, the populated floor, and — behind
+// the rd < 1 gate, because a subspace whose mass concentrates in few
+// cells can leave a cell at or above the uniform expectation yet far
+// below its populated peers — IRSD and IkRD. It evaluates every measure
+// (attribution wants each fired one) and returns the fired set with the
+// maximum normalized deficit (core.Deficit) among them; the pair flags
+// iff fired != 0, which is what keeps verdict bits identical with
+// scoring on or off. cellS is the cell's post-touch decayed magnitude
+// sum and tdc/ts/tq the subspace totals, all snapshotted at the point's
+// tick: the batch path keeps the totals in registers (st.total is
+// written back only at batch end) and the cell line keeps absorbing
+// later points of the same batch, so neither may be re-read here. The
+// cell mean is only derived past the rd < 1 gate. Reached only past the
+// warmup gate.
 func (s *shard) scoredVerdict(st *subspaceState, li int, key uint64, lhs, dc, cellS, tdc, ts, tq, rdThr float64) (core.Measure, float64) {
 	var fired core.Measure
 	var sev float64
@@ -861,57 +754,16 @@ func (s *shard) scoredVerdict(st *subspaceState, li int, key uint64, lhs, dc, ce
 		}
 	}
 	if lhs < tdc {
-		f2, s2 := s.slowMeasures(st, li, key, cellS/dc, tdc, ts, tq)
-		fired |= f2
-		if s2 > sev {
-			sev = s2
-		}
-	}
-	return fired, sev
-}
-
-// slowMeasures is outlyingSlow retaining magnitudes: it evaluates both
-// IRSD and IkRD (no short-circuit — attribution wants every fired
-// measure) under the identical firing conditions and returns the fired
-// set with the larger deficit. outlyingSlow returns true iff this
-// returns a non-empty set, for the same inputs.
-func (s *shard) slowMeasures(st *subspaceState, li int, key uint64, cellMean, tdc, ts, tq float64) (core.Measure, float64) {
-	cfg := &s.det.cfg
-	var fired core.Measure
-	var sev float64
-	if st.irsdThr > 0 && tdc > 0 {
-		mu := ts / tdc
-		if v := tq/tdc - mu*mu; v > 0 {
-			z := math.Abs(cellMean-mu) / math.Sqrt(v)
-			if irsd := 1 / (1 + z); irsd < st.irsdThr {
-				fired = core.MeasureIRSD
-				sev = core.Deficit(irsd, st.irsdThr)
-			}
-		}
-	}
-	if st.ikrdThr > 0 && st.invMaxDist > 0 {
-		k := cfg.K
-		repKey := s.repKeys[li*k : li*k+k]
-		repDc := s.repDcs[li*k : li*k+k]
-		sum, cnt := 0.0, 0
-		for i, rk := range repKey {
-			if repDc[i] <= 0 || rk == key {
-				continue
-			}
-			dist := 0
-			for j := 0; j < int(st.size); j++ {
-				dj := int(core.CoordAt(key, j)) - int(core.CoordAt(rk, j))
-				if dj < 0 {
-					dj = -dj
+		if st.irsdThr > 0 && tdc > 0 {
+			if irsd, ok := irsdOf(cellS/dc, tdc, ts, tq); ok && irsd < st.irsdThr {
+				fired |= core.MeasureIRSD
+				if s2 := core.Deficit(irsd, st.irsdThr); s2 > sev {
+					sev = s2
 				}
-				dist += dj
 			}
-			sum += float64(dist)
-			cnt++
 		}
-		if cnt > 0 {
-			ikrd := 1 - (sum/float64(cnt))*st.invMaxDist
-			if ikrd < st.ikrdThr {
+		if st.ikrdThr > 0 {
+			if ikrd, ok := s.ikrdOf(st, li, key); ok && ikrd < st.ikrdThr {
 				fired |= core.MeasureIkRD
 				if s2 := core.Deficit(ikrd, st.ikrdThr); s2 > sev {
 					sev = s2
@@ -920,4 +772,55 @@ func (s *shard) slowMeasures(st *subspaceState, li int, key uint64, cellMean, td
 		}
 	}
 	return fired, sev
+}
+
+// irsdOf is a cell's Inverse Relative Standard Deviation: how far its
+// mean member magnitude sits from the subspace mean ts/tdc, in subspace
+// standard deviations, mapped to (0,1] by 1/(1+z). ok is false when the
+// subspace's magnitude variance is not positive and the measure is
+// undefined. The verdict and the auto-threshold sampler both call it,
+// so the sampled values are the compared ones, bit for bit.
+func irsdOf(cellMean, tdc, ts, tq float64) (irsd float64, ok bool) {
+	mu := ts / tdc
+	v := tq/tdc - mu*mu
+	if !(v > 0) {
+		return 0, false
+	}
+	z := math.Abs(cellMean-mu) / math.Sqrt(v)
+	return 1 / (1 + z), true
+}
+
+// ikrdOf is the Inverse k-Relative Distance of cell key in owned
+// subspace li: the mean grid (L1) distance from the cell to the
+// subspace's live representatives (its k densest cells, itself
+// excluded), normalized by the subspace's diameter and inverted so that
+// far-from-everything cells score low. ok is false when the subspace
+// has no diameter (φ == 1) or no other live representative.
+func (s *shard) ikrdOf(st *subspaceState, li int, key uint64) (ikrd float64, ok bool) {
+	if st.invMaxDist <= 0 {
+		return 0, false
+	}
+	k := s.det.cfg.K
+	repKey := s.repKeys[li*k : li*k+k]
+	repDc := s.repDcs[li*k : li*k+k]
+	sum, cnt := 0.0, 0
+	for i, rk := range repKey {
+		if repDc[i] <= 0 || rk == key {
+			continue
+		}
+		dist := 0
+		for j := 0; j < int(st.size); j++ {
+			dj := int(core.CoordAt(key, j)) - int(core.CoordAt(rk, j))
+			if dj < 0 {
+				dj = -dj
+			}
+			dist += dj
+		}
+		sum += float64(dist)
+		cnt++
+	}
+	if cnt == 0 {
+		return 0, false
+	}
+	return 1 - (sum/float64(cnt))*st.invMaxDist, true
 }

@@ -138,7 +138,7 @@ func (d *Detector) Snapshot(w io.Writer) error {
 			sw.U64(st.repsLast)
 			sw.F64(st.repMin)
 			sw.U32(uint32(st.repMinI))
-			sw.U8(st.skipCoalesce)
+			sw.U8(0) // reserved byte of the v3 layout; always 0, ignored on read
 			for i := 0; i < k; i++ {
 				sw.U64(sh.repKeys[li*k+i])
 				sw.F64(sh.repDcs[li*k+i])
@@ -271,14 +271,13 @@ func next(r *snapshot.Reader, want uint32) (*snapshot.Section, error) {
 // savedSub is one subspace's dynamic state as read from a shard
 // section, pending application to the rebuilt detector.
 type savedSub struct {
-	sid          uint32
-	total        core.PCS
-	repsLast     uint64
-	repMin       float64
-	repMinI      int32
-	skipCoalesce uint8
-	repKeys      []uint64
-	repDcs       []float64
+	sid      uint32
+	total    core.PCS
+	repsLast uint64
+	repMin   float64
+	repMinI  int32
+	repKeys  []uint64
+	repDcs   []float64
 }
 
 // savedShard is one shard section, pending application.
@@ -419,7 +418,7 @@ func Restore(r io.Reader, cfg Config) (*Detector, error) {
 			sub.repsLast = sec.U64()
 			sub.repMin = sec.F64()
 			sub.repMinI = int32(sec.U32())
-			sub.skipCoalesce = sec.U8()
+			sec.U8() // reserved byte, ignored (see Snapshot)
 			sub.repKeys = make([]uint64, k)
 			sub.repDcs = make([]float64, k)
 			for j := 0; j < k; j++ {
@@ -855,7 +854,6 @@ func (d *Detector) restoreShards(saved []savedShard) error {
 			st.repsLast = sub.repsLast
 			st.repMin = sub.repMin
 			st.repMinI = sub.repMinI
-			st.skipCoalesce = sub.skipCoalesce
 			copy(p.sh.repKeys[p.li*k:(p.li+1)*k], sub.repKeys)
 			copy(p.sh.repDcs[p.li*k:(p.li+1)*k], sub.repDcs)
 		}

@@ -22,7 +22,7 @@ type snapTrial struct {
 	d, n       int
 	epoch      uint64
 	supervised bool
-	noCoalesce bool
+	subBatch   int // re-cut every planned batch into sub-batches of this size; 0 = as planned
 	maxDim     int
 	lambda     float64
 	evSeed     int64
@@ -58,7 +58,7 @@ func makeSnapTrial(t *testing.T, trial int, meta *rand.Rand) snapTrial {
 	tr := snapTrial{
 		d: d, n: n, epoch: epoch,
 		supervised: trial%2 == 0,
-		noCoalesce: trial%4 >= 2,
+		subBatch:   []int{0, 0, 1, 63}[trial%4],
 		maxDim:     1 + meta.Intn(2),
 		lambda:     []float64{0.005, 0.01, 0.02}[meta.Intn(3)],
 		evSeed:     meta.Int63(),
@@ -77,8 +77,8 @@ func makeSnapTrial(t *testing.T, trial int, meta *rand.Rand) snapTrial {
 	// Kill somewhere in the middle of the run, never at the very end,
 	// so both halves exercise real work.
 	tr.killAfter = 1 + meta.Intn(len(tr.batches)-1)
-	tr.scenario = fmt.Sprintf("trial=%d d=%d epoch=%d n=%d mode=%d supervised=%v noCoalesce=%v maxDim=%d lambda=%g evSeed=%d batches=%d killAfter=%d",
-		trial, d, epoch, n, mode, tr.supervised, tr.noCoalesce, tr.maxDim, tr.lambda, tr.evSeed, len(tr.batches), tr.killAfter)
+	tr.scenario = fmt.Sprintf("trial=%d d=%d epoch=%d n=%d mode=%d supervised=%v subBatch=%d maxDim=%d lambda=%g evSeed=%d batches=%d killAfter=%d",
+		trial, d, epoch, n, mode, tr.supervised, tr.subBatch, tr.maxDim, tr.lambda, tr.evSeed, len(tr.batches), tr.killAfter)
 	return tr
 }
 
@@ -111,7 +111,6 @@ func (tr *snapTrial) config(t *testing.T, shards int) Config {
 	cfg.EpochTicks = tr.epoch
 	cfg.EvictEpsilon = 1e-4
 	cfg.RDPopulatedThreshold = 0.2
-	cfg.NoCoalesce = tr.noCoalesce
 	cfg.Evolver = tr.evolver(t)
 	return cfg
 }
@@ -125,7 +124,14 @@ func (tr *snapTrial) feed(det *Detector, verdicts []bool, from, to int) {
 	}
 	for bi := from; bi < to; bi++ {
 		b := tr.batches[bi]
-		det.ProcessBatch(tr.flat[off*tr.d:(off+b)*tr.d], verdicts[off:off+b])
+		step := b
+		if tr.subBatch > 0 {
+			step = tr.subBatch
+		}
+		for lo := off; lo < off+b; lo += step {
+			hi := min(lo+step, off+b)
+			det.ProcessBatch(tr.flat[lo*tr.d:hi*tr.d], verdicts[lo:hi])
+		}
 		if tr.supervised {
 			for i := off; i < off+b; i++ {
 				if tr.labels[i] {
@@ -181,9 +187,10 @@ func sameEpochStats(a, b Stats) bool {
 // heart of the checkpoint work: kill a detector at a random batch
 // boundary mid-stream, restore it from the snapshot bytes, and the
 // continuation must be verdict-bit-identical to the uninterrupted
-// oracle — across shard counts, coalescing on and off, and with the
-// supervised MOGA evolver (RNG state and all) in the loop on half the
-// trials. Final epoch statistics and evolved subspaces must match too.
+// oracle — across shard counts, batch sizes down to one point, and
+// with the supervised MOGA evolver (RNG state and all) in the loop on
+// half the trials. Final epoch statistics and evolved subspaces must
+// match too.
 func TestRestoreEquivalenceProperty(t *testing.T) {
 	meta := rand.New(rand.NewSource(77))
 	const trials = 6
@@ -299,6 +306,75 @@ func TestSnapshotRestoreByteStable(t *testing.T) {
 	}
 	if s := det.Stats(); s.Checkpoints != 1 || s.CheckpointBytes != uint64(first.Len()) || s.CheckpointNanos == 0 {
 		t.Fatalf("checkpoint telemetry not tracked: %+v", s)
+	}
+}
+
+// TestRestoreParentCheckpoint pins backward compatibility of format
+// version 3: testdata/parent_v3.snap was written by the build that
+// still routed duplication-free subspaces through a per-subspace
+// coalescing gate, whose counter byte the shard section carries for
+// every subspace — non-zero for the 3-d subspace of this checkpoint,
+// since a uniform stream leaves almost every point of a 64-point batch
+// in its own cell. The byte is now reserved and ignored, so the restored
+// detector must emit exactly the verdicts that build emitted on the
+// next 256 points (testdata/parent_v3.verdicts, one '0'/'1' per point).
+//
+// Recipe: the config below; rng := rand.New(rand.NewSource(2008));
+// 16 ProcessBatch calls of 64 points, every coordinate rng.Float64()
+// in row-major order; Snapshot; then 4 more 64-point batches from the
+// same rng, whose verdicts are the .verdicts file.
+func TestRestoreParentCheckpoint(t *testing.T) {
+	const d, batch, warm, next = 3, 64, 1024, 256
+	cfg := DefaultConfig(d)
+	cfg.MaxSubspaceDim = 3
+	cfg.Shards = 2
+	cfg.EpochTicks = 512
+	cfg.RDThreshold = 0.5
+	cfg.IRSDThreshold = 0.3
+	cfg.IkRDThreshold = 0.5
+	snap, err := os.ReadFile("testdata/parent_v3.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/parent_v3.verdicts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = bytes.TrimSpace(want)
+	if len(want) != next {
+		t.Fatalf("fixture holds %d verdicts, want %d", len(want), next)
+	}
+	det, err := Restore(bytes.NewReader(snap), cfg)
+	if err != nil {
+		t.Fatalf("restore parent checkpoint: %v", err)
+	}
+	defer det.Close()
+	if det.Tick() != warm {
+		t.Fatalf("restored tick %d, want %d", det.Tick(), warm)
+	}
+	rng := rand.New(rand.NewSource(2008))
+	for i := 0; i < warm*d; i++ {
+		rng.Float64()
+	}
+	buf := make([]float64, batch*d)
+	out := make([]bool, batch)
+	flagged := 0
+	for off := 0; off < next; off += batch {
+		for i := range buf {
+			buf[i] = rng.Float64()
+		}
+		det.ProcessBatch(buf, out)
+		for i, f := range out {
+			if w := want[off+i] == '1'; f != w {
+				t.Fatalf("point %d after restore: verdict %v, parent build %v", warm+off+i, f, w)
+			}
+			if f {
+				flagged++
+			}
+		}
+	}
+	if flagged == 0 || flagged == next {
+		t.Fatalf("degenerate fixture: %d of %d points flagged", flagged, next)
 	}
 }
 
