@@ -9,15 +9,18 @@ test:
 vet:
 	go vet ./...
 
-# Short native-fuzzing smoke over the cell-key round-trip property and
+# Short native-fuzzing smoke over the cell-key round-trip property,
 # the snapshot codec (mutated checkpoint bytes must decode with
 # matching CRCs or fail with a typed error — never panic or over-
-# allocate); a counterexample fails the run and is minimized into
-# testdata/fuzz as a permanent regression case.
+# allocate), the top-K score state and the wire frame reader (arbitrary
+# bytes must yield the declared payload or a typed/EOF error); a
+# counterexample fails the run and is minimized into testdata/fuzz as a
+# permanent regression case.
 fuzz:
 	go test -run '^$$' -fuzz FuzzEncodeDecodeCell -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 10s ./internal/snapshot
 	go test -run '^$$' -fuzz FuzzScoreStateRoundTrip -fuzztime 10s ./internal/stream
+	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/server
 
 # lint = vet + gofmt (any file gofmt would rewrite fails) + the repo's
 # godoc discipline (every exported symbol in internal/ and cmd/ must

@@ -144,7 +144,6 @@ type report struct {
 	GOMAXPROCS    int                  `json:"gomaxprocs"`
 	Benchmarks    []result             `json:"benchmarks"`
 	Ratios        map[string]float64   `json:"shard8_over_shard1"`
-	SweepPause    *sweepPauseResult    `json:"sweep_pause"`
 	Drift         *driftResult         `json:"drift_memory"`
 	Evolution     *evolutionResult     `json:"sst_evolution"`
 	Supervised    *supervisedResult    `json:"supervised"`
@@ -353,82 +352,6 @@ func rankMetrics(scores []float64, labels []bool) (auc, precAtK float64, k int) 
 	}
 	precAtK = credit / float64(k)
 	return auc, precAtK, k
-}
-
-// sweepPauseResult reports the epoch-sweep pause with the per-shard
-// table sweeps run serially on the dispatcher vs fanned out to the
-// shard workers, on the same stream. Pauses are the mean wall time of
-// a sweep's table scans (SST evolution excluded); the ratio is only
-// meaningful on multi-core machines — on one CPU the parallel fan-out
-// can't overlap and merely adds handoff cost.
-type sweepPauseResult struct {
-	Dims               int     `json:"dims"`
-	Shards             int     `json:"shards"`
-	EpochTicks         uint64  `json:"epoch_ticks"`
-	Points             int     `json:"points"`
-	Sweeps             uint64  `json:"sweeps"`
-	ProjectedCells     int     `json:"projected_cells"`
-	SerialNsPerSweep   float64 `json:"serial_ns_per_sweep"`
-	ParallelNsPerSweep float64 `json:"parallel_ns_per_sweep"`
-	ParallelOverSerial float64 `json:"parallel_over_serial"`
-}
-
-// runSweepPause feeds the identical batched stream through two
-// detectors differing only in Config.SerialSweep and reports the mean
-// epoch pause of each.
-func runSweepPause() (*sweepPauseResult, error) {
-	const (
-		d      = 20
-		shards = 4
-		batch  = 512
-		epochs = 16
-	)
-	measure := func(serial bool) (stream.Stats, error) {
-		cfg := stream.DefaultConfig(d)
-		cfg.MaxSubspaceDim = bench.MaxDimFor(d)
-		cfg.Shards = shards
-		cfg.SerialSweep = serial
-		det, err := stream.New(cfg)
-		if err != nil {
-			return stream.Stats{}, err
-		}
-		defer det.Close()
-		gen := bench.NewGenerator(bench.DefaultGenConfig(d))
-		flat := make([]float64, batch*d)
-		labels := make([]bool, batch)
-		out := make([]bool, batch)
-		points := epochs * int(cfg.EpochTicks)
-		for fed := 0; fed < points; fed += batch {
-			gen.Fill(flat, labels, batch)
-			det.ProcessBatch(flat, out)
-		}
-		return det.Stats(), nil
-	}
-	ser, err := measure(true)
-	if err != nil {
-		return nil, err
-	}
-	par, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
-	if ser.Sweeps == 0 || par.Sweeps == 0 {
-		return nil, fmt.Errorf("sweep pause run recorded no sweeps")
-	}
-	serNs := float64(ser.SweepNanos) / float64(ser.Sweeps)
-	parNs := float64(par.SweepNanos) / float64(par.Sweeps)
-	cfgTicks := stream.DefaultConfig(d).EpochTicks
-	return &sweepPauseResult{
-		Dims:               d,
-		Shards:             shards,
-		EpochTicks:         cfgTicks,
-		Points:             epochs * int(cfgTicks),
-		Sweeps:             par.Sweeps,
-		ProjectedCells:     par.ProjectedCells,
-		SerialNsPerSweep:   serNs,
-		ParallelNsPerSweep: parNs,
-		ParallelOverSerial: parNs / serNs,
-	}, nil
 }
 
 // runDrift measures the memory-bounding behavior on a jump-drifting
@@ -1235,13 +1158,6 @@ func main() {
 	fmt.Printf("%-18s %12.0f points/sec  (%.0f distinct/batch ×%.1f dup)\n",
 		uq.Name, uq.PointsPerSec, uq.DistinctCellsPerBatch, uq.CellDupRatio)
 	rep.Benchmarks = append(rep.Benchmarks, uq)
-	sp, err := runSweepPause()
-	if err != nil {
-		fail(err)
-	}
-	rep.SweepPause = sp
-	fmt.Printf("sweep pause d=%d/shards=%d: serial %.0fns parallel %.0fns (×%.2f, %d cells)\n",
-		sp.Dims, sp.Shards, sp.SerialNsPerSweep, sp.ParallelNsPerSweep, sp.ParallelOverSerial, sp.ProjectedCells)
 	dr, err := runDrift()
 	if err != nil {
 		fail(err)

@@ -24,6 +24,10 @@ type Grouper struct {
 	head []int32  // first batch position of each group's run
 	tail []int32  // last batch position of each group's run
 	next []int32  // next position of the same run, -1 ends it
+
+	// single marks a Singletons grouping: group i is position i alone,
+	// and head/tail/next are not kept.
+	single bool
 }
 
 // grouperMinSlots is the smallest key-index size: 16 int32 slots fill
@@ -39,6 +43,7 @@ const grouperMinSlots = 16
 // to this call's batch, not the largest seen, so a small sub-batch
 // after full-size ones clears only the slots it uses.
 func (g *Grouper) Group(keys []uint64) {
+	g.single = false
 	n := len(keys)
 	want := grouperMinSlots
 	for want < 2*n {
@@ -86,18 +91,22 @@ func (g *Grouper) Group(keys []uint64) {
 	}
 }
 
+// Singletons starts a grouping of n keys the caller knows to be
+// pairwise distinct, one run each in position order — the grouping
+// Group would compute, without hashing or run chains — and returns the
+// key buffer for the caller to fill before TouchRuns. The detector
+// uses it for one-point batches, where every key of a tile belongs to
+// a different subspace.
+func (g *Grouper) Singletons(n int) []uint64 {
+	if cap(g.keys) < n {
+		g.keys = make([]uint64, n)
+	}
+	g.keys = g.keys[:n]
+	g.single = true
+	return g.keys
+}
+
 // Groups returns the number of distinct cells of the last Group call —
 // the batch's distinct-cell count, the duplication statistic the bench
 // harness reports per workload.
 func (g *Grouper) Groups() int { return len(g.keys) }
-
-// Key returns the cell key of group gi (0 ≤ gi < Groups), in first-seen
-// order.
-func (g *Grouper) Key(gi int) uint64 { return g.keys[gi] }
-
-// First returns the first batch position of group gi's run.
-func (g *Grouper) First(gi int) int { return int(g.head[gi]) }
-
-// Next returns the run successor of batch position i, or -1 at the end
-// of i's run.
-func (g *Grouper) Next(i int) int { return int(g.next[i]) }

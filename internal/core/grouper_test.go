@@ -35,9 +35,9 @@ func TestGrouperPartitions(t *testing.T) {
 		}
 		seen := make([]bool, n)
 		for gi := 0; gi < g.Groups(); gi++ {
-			key := g.Key(gi)
+			key := g.keys[gi]
 			prev := -1
-			for i := g.First(gi); i >= 0; i = g.Next(i) {
+			for i := int(g.head[gi]); i >= 0; i = int(g.next[i]) {
 				if keys[i] != key {
 					t.Fatalf("trial %d: position %d (key %x) chained into group of key %x", trial, i, keys[i], key)
 				}
@@ -89,11 +89,11 @@ func TestGrouperShrinksToBatch(t *testing.T) {
 			t.Fatalf("round %d (n=%d): %d groups, want %d", round, n, g.Groups(), len(order))
 		}
 		for gi, want := range order {
-			if g.Key(gi) != want {
-				t.Fatalf("round %d (n=%d): group %d key %x, want %x", round, n, gi, g.Key(gi), want)
+			if g.keys[gi] != want {
+				t.Fatalf("round %d (n=%d): group %d key %x, want %x", round, n, gi, g.keys[gi], want)
 			}
 			var got []int
-			for i := g.First(gi); i >= 0; i = g.Next(i) {
+			for i := int(g.head[gi]); i >= 0; i = int(g.next[i]) {
 				got = append(got, i)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(runs[want]) {

@@ -150,202 +150,92 @@ func (t *PCSTable) Contains(key uint64) bool {
 	return false
 }
 
-// TouchBatch folds one member of magnitude mags[i] observed at tick
-// into the cell of keys[i], for every i, creating missing cells —
-// the batch form of Get+Touch the detector's pointwise path is built
-// on. It writes each cell's dense slot into slots and its post-touch
-// decayed density into dcs (all slices len ≥ len(keys)), so verdict
-// logic downstream can run off the dense density array without
-// revisiting the random cell lines. Probe and summary fold run inline
-// with no per-key call: the index and cell-line misses of neighboring
-// keys are mutually independent, and keeping them in one call-free
-// loop lets the CPU overlap them instead of serializing probe → fold →
-// verdict per subspace. Misses and rehash-in-flight lookups fall back
-// to GetSlot, which rechecks everything and may grow the index — the
-// cached geometry is reloaded after every fallback. Zero heap
-// allocations when every cell exists.
-func (t *PCSTable) TouchBatch(d *DecayTable, tick uint64, keys []uint64, mags []float64, slots []uint32, dcs []float64) {
-	// Reslicing the outputs to the input length lets the compiler drop
-	// the per-iteration bounds checks.
-	mags = mags[:len(keys)]
-	slots = slots[:len(keys)]
-	dcs = dcs[:len(keys)]
-	// The index geometry and dense slices are cached in locals so the
-	// loop reads registers, not the table struct; the GetSlot fallback
-	// can grow the index or reallocate the cells, so the locals are
-	// reloaded after every fallback.
-	buckets := t.buckets
-	cells := t.cells
-	var mask uint64
-	var shift uint
-	if buckets != nil {
-		mask = uint64(len(buckets) - 1)
-		shift = t.shift
-	}
-	for li, key := range keys {
-		var slot uint32
-		if buckets == nil {
-			slot = t.GetSlot(key, tick)
-			buckets = t.buckets
-			cells = t.cells
-			mask = uint64(len(buckets) - 1)
-			shift = t.shift
-		} else {
-			i := cellHash(key) >> shift
-			for {
-				b := buckets[i]
-				if b.key == key && b.ref != 0 {
-					slot = b.ref - 1
-					break
-				}
-				if b.ref == 0 {
-					slot = t.GetSlot(key, tick)
-					buckets = t.buckets
-					cells = t.cells
-					mask = uint64(len(buckets) - 1)
-					shift = t.shift
-					break
-				}
-				i = (i + 1) & mask
+// TouchRuns is the batch touch the detector's hot path is built on.
+// The caller lays a tile of subspaces out as consecutive stripes of n
+// positions, one stripe per subspace with stripe position i holding
+// the cell key of the batch's point i, and groups the tile's keys into
+// per-cell runs (Grouper.Group; for a one-point batch
+// Grouper.Singletons, whose runs are single touches at t0+1 folded in
+// a lean loop of their own). A run never leaves its stripe, since keys
+// of different subspaces differ, and stripe position i touches at tick
+// t0+i+1 with magnitude mags[i]. TouchRuns probes the index once per
+// distinct cell and folds that cell's whole run with the summary held
+// in registers across the run (the body of PCS.TouchRun, inlined).
+// Post-touch magnitude sums and densities land in ss/dcs at the run
+// positions, so the caller's verdict pass reads the exact per-point
+// trajectory of a point-by-point feed: within a cell the ticks fold in
+// increasing order and across cells the summaries share no state,
+// which is the whole bit-identical argument. Runs of a dense stream
+// average many points per cell, so the per-point cost drops to the fold
+// itself; misses and rehash-in-flight lookups fall back to GetSlot,
+// which rechecks everything and may grow the index — the cached
+// geometry is reloaded after every fallback. Zero heap allocations
+// when every cell exists.
+func (t *PCSTable) TouchRuns(d *DecayTable, t0 uint64, n int, g *Grouper, mags, ss, dcs []float64) {
+	buckets, cells, shift := t.buckets, t.cells, t.shift
+	if g.single {
+		// Singleton runs (a one-point batch): each key folds one touch
+		// at t0+1, in a loop lean enough that the independent probe and
+		// cell misses of many keys stay in flight at once.
+		tick := t0 + 1
+		mags = mags[:len(g.keys)]
+		ss = ss[:len(g.keys)]
+		dcs = dcs[:len(g.keys)]
+		for gi, key := range g.keys {
+			var slot uint32
+			ok := false
+			if buckets != nil {
+				slot, ok = oaFind(buckets, shift, key)
 			}
-		}
-		slots[li] = slot
-		// The body of PCS.Touch, inlined (a call per cell would cost
-		// more than the fold itself).
-		p := &cells[slot]
-		if p.Last != tick {
-			f := d.At(tick - p.Last)
-			p.Dc *= f
-			p.S *= f
-			p.Q *= f
-			p.Last = tick
-		}
-		m := mags[li]
-		p.Dc++
-		p.S += m
-		p.Q += m * m
-		dcs[li] = p.Dc
-	}
-}
-
-// AssembleCols is the key-assembly stage of the detector's batch path:
-// one call packs every point of a batch into its cell key under the
-// subspace whose packed key base is keyBase, and sums its projected
-// magnitude, from the member dimensions' transposed columns (entry i of
-// column j is point i's interval index / raw value in member dimension
-// j). Keys land in keys and magnitudes in mags (both len ≥ the column
-// length). The caller then groups keys by cell (Grouper) and folds each
-// run with TouchRuns, so the index is probed once per distinct cell
-// rather than once per point. Zero heap allocations.
-func AssembleCols(keyBase uint64, coordCols [][]uint8, valCols [][]float64, keys []uint64, mags []float64) {
-	k := len(coordCols)
-	c0 := coordCols[0]
-	n := len(c0)
-	v0 := valCols[0][:n]
-	var c1, c2 []uint8
-	var v1, v2 []float64
-	if k >= 2 {
-		c1, v1 = coordCols[1][:n], valCols[1][:n]
-	}
-	if k >= 3 {
-		c2, v2 = coordCols[2][:n], valCols[2][:n]
-	}
-	keys = keys[:n]
-	mags = mags[:n]
-	// The arity switch is loop-invariant, so the branch predictor
-	// resolves it for free; arities 1–3 (the fixed group's bulk)
-	// assemble with constant shifts.
-	switch k {
-	case 1:
-		for i := 0; i < n; i++ {
-			keys[i] = keyBase | uint64(c0[i])
-			mags[i] = v0[i]
-		}
-	case 2:
-		for i := 0; i < n; i++ {
-			keys[i] = keyBase | uint64(c0[i]) | uint64(c1[i])<<CoordBits
-			mags[i] = v0[i] + v1[i]
-		}
-	case 3:
-		for i := 0; i < n; i++ {
-			keys[i] = keyBase | uint64(c0[i]) | uint64(c1[i])<<CoordBits | uint64(c2[i])<<(2*CoordBits)
-			mags[i] = v0[i] + v1[i] + v2[i]
-		}
-	default:
-		for i := 0; i < n; i++ {
-			key := keyBase
-			var m float64
-			for j := 0; j < k; j++ {
-				key |= uint64(coordCols[j][i]) << (uint(j) * CoordBits)
-				m += valCols[j][i]
+			if !ok {
+				slot = t.GetSlot(key, tick)
+				buckets, cells, shift = t.buckets, t.cells, t.shift
 			}
-			keys[i] = key
-			mags[i] = m
+			p := &cells[slot]
+			dc, sv, q := p.Dc, p.S, p.Q
+			if p.Last != tick {
+				f := d.At(tick - p.Last)
+				dc *= f
+				sv *= f
+				q *= f
+			}
+			m := mags[gi]
+			dc++
+			sv += m
+			q += m * m
+			p.Dc, p.S, p.Q, p.Last = dc, sv, q, tick
+			ss[gi] = sv
+			dcs[gi] = dc
 		}
+		return
 	}
-}
-
-// TouchRuns is the batch touch the detector's hot path is built on: the
-// caller has already assembled the batch's cell keys for one subspace
-// (AssembleCols) and grouped them into per-cell runs (Grouper.Group);
-// TouchRuns probes the index once per distinct cell and folds that
-// cell's whole run — point i touches at tick t0+i+1 with magnitude
-// mags[i] — with the summary held in registers across the run (the body
-// of PCS.TouchRun, inlined). Post-touch magnitude sums and densities
-// land in ss[i]/dcs[i] at the run positions, so the caller's verdict
-// pass reads the exact per-point trajectory of the pointwise path:
-// within a cell the ticks fold in increasing order and across cells the
-// summaries share no state, which is the whole bit-identical argument.
-// Runs of a dense stream average many points per cell, so the per-point
-// cost drops to the fold itself; misses and rehash-in-flight lookups
-// fall back to GetSlot, which rechecks everything and may grow the
-// index — the cached geometry is reloaded after every fallback. Zero
-// heap allocations when every cell exists.
-func (t *PCSTable) TouchRuns(d *DecayTable, t0 uint64, g *Grouper, mags, ss, dcs []float64) {
-	buckets := t.buckets
-	cells := t.cells
-	var mask uint64
-	var shift uint
-	if buckets != nil {
-		mask = uint64(len(buckets) - 1)
-		shift = t.shift
-	}
-	for gi := range g.keys {
-		key := g.keys[gi]
+	// Groups come in first-seen order, so their first positions rise
+	// and the stripe of the current run only ever moves forward: a
+	// division-free walk. tb is t0 shifted back by the stripe start
+	// (modular, like every tick sum here), so position i ticks at
+	// tb+i+1.
+	stripe := 0
+	for gi, key := range g.keys {
 		first := g.head[gi]
-		tick0 := t0 + uint64(first) + 1
+		for int(first) >= stripe+n {
+			stripe += n
+		}
+		tb := t0 - uint64(stripe)
 		var slot uint32
-		if buckets == nil {
-			slot = t.GetSlot(key, tick0)
-			buckets = t.buckets
-			cells = t.cells
-			mask = uint64(len(buckets) - 1)
-			shift = t.shift
-		} else {
-			j := cellHash(key) >> shift
-			for {
-				b := buckets[j]
-				if b.key == key && b.ref != 0 {
-					slot = b.ref - 1
-					break
-				}
-				if b.ref == 0 {
-					slot = t.GetSlot(key, tick0)
-					buckets = t.buckets
-					cells = t.cells
-					mask = uint64(len(buckets) - 1)
-					shift = t.shift
-					break
-				}
-				j = (j + 1) & mask
-			}
+		ok := false
+		if buckets != nil {
+			slot, ok = oaFind(buckets, shift, key)
+		}
+		if !ok {
+			slot = t.GetSlot(key, tb+uint64(first)+1)
+			buckets, cells, shift = t.buckets, t.cells, t.shift
 		}
 		// The body of PCS.TouchRun, inlined: the cell is loaded and
 		// stored once per run instead of once per point.
 		p := &cells[slot]
 		dc, sv, q, last := p.Dc, p.S, p.Q, p.Last
 		for i := first; i >= 0; i = g.next[i] {
-			tick := t0 + uint64(i) + 1
+			tick := tb + uint64(i) + 1
 			if last != tick {
 				f := d.At(tick - last)
 				dc *= f

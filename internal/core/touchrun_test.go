@@ -102,3 +102,65 @@ func TestSeriesClosedForm(t *testing.T) {
 		}
 	}
 }
+
+// TestTouchRunsTilesMatchPointwise pins TouchRuns' tile contract:
+// stripe position i of a w-subspace, n-point tile touches at tick
+// t0+i+1, runs never leave their stripe, and folding a tile — grouped
+// by Group, or by Singletons when n == 1 — leaves every summary and
+// every per-position post-touch (sum, density) bit-identical to
+// touching the same cells point by point, subspace by subspace, with
+// PCS.Touch on the map-backed oracle. Tiles are re-used across rounds
+// at stream ticks that keep advancing, so later rounds fold into lived-
+// in cells and some new ones.
+func TestTouchRunsTilesMatchPointwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dt := NewDecayTable(0.002)
+	for _, shape := range []struct{ w, n int }{{1, 512}, {3, 37}, {8, 64}, {512, 1}, {5, 1}, {2, 2}} {
+		tbl, oracle := NewPCSTable(), NewMapPCSTable()
+		var g Grouper
+		t0 := uint64(rng.Intn(1000))
+		pairs := shape.w * shape.n
+		keys := make([]uint64, pairs)
+		mags := make([]float64, pairs)
+		ss := make([]float64, pairs)
+		dcs := make([]float64, pairs)
+		for round := 0; round < 6; round++ {
+			for j := 0; j < shape.w; j++ {
+				for i := 0; i < shape.n; i++ {
+					// A few cells per subspace (stripe j), so runs repeat.
+					keys[j*shape.n+i] = uint64(j)<<SubspaceShift | uint64(rng.Intn(6))
+					mags[j*shape.n+i] = 10 * (rng.Float64() - 0.5)
+				}
+			}
+			if shape.n == 1 {
+				copy(g.Singletons(pairs), keys)
+			} else {
+				g.Group(keys)
+			}
+			tbl.TouchRuns(dt, t0, shape.n, &g, mags, ss, dcs)
+			for j := 0; j < shape.w; j++ {
+				for i := 0; i < shape.n; i++ {
+					p := j*shape.n + i
+					tick := t0 + uint64(i) + 1
+					c := oracle.Get(keys[p], tick)
+					c.Touch(dt, tick, mags[p])
+					if math.Float64bits(ss[p]) != math.Float64bits(c.S) || math.Float64bits(dcs[p]) != math.Float64bits(c.Dc) {
+						t.Fatalf("w=%d n=%d round %d pair %d: (S, Dc) = (%v, %v), pointwise (%v, %v)",
+							shape.w, shape.n, round, p, ss[p], dcs[p], c.S, c.Dc)
+					}
+				}
+			}
+			t0 += uint64(shape.n) + uint64(rng.Intn(50))
+		}
+		if tbl.Len() != oracle.Len() {
+			t.Fatalf("w=%d n=%d: %d cells, oracle %d", shape.w, shape.n, tbl.Len(), oracle.Len())
+		}
+		for i := 0; i < oracle.Len(); i++ {
+			key, want := oracle.At(i)
+			got := tbl.Get(key, 0)
+			if *got != *want {
+				t.Fatalf("w=%d n=%d: cell %x = %+v, oracle %+v", shape.w, shape.n, key, *got, *want)
+			}
+		}
+	}
+}

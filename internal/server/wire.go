@@ -42,6 +42,12 @@ const (
 	MaxBatchPoints = 65536
 	// maxNameLen bounds a tenant name on the wire.
 	maxNameLen = 255
+	// frameChunk is the first allocation for a frame's payload. A frame
+	// up to this size is read into one buffer of its exact length; a
+	// larger one doubles its buffer as bytes arrive, so what a frame
+	// pins tracks what the peer actually sent, never what its header
+	// declared.
+	frameChunk = 64 << 10
 )
 
 // Request message types.
@@ -181,7 +187,11 @@ func writeFrame(w io.Writer, typ uint8, head, body []byte) error {
 }
 
 // readFrame reads one frame, enforcing the length cap. The returned
-// payload excludes the type byte.
+// payload excludes the type byte. The payload buffer grows with the
+// bytes received (see frameChunk), so a peer that declares a large
+// frame and then stalls or hangs up holds at most twice what it sent.
+// A frame cut short after some payload bytes returns
+// io.ErrUnexpectedEOF; io.EOF means no payload byte arrived.
 func readFrame(r io.Reader) (uint8, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -191,11 +201,24 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 	if n < 1 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: frame length %d", ErrBadRequest, n)
 	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	want := int(n - 1)
+	payload := make([]byte, min(want, frameChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, payload[got:])
+		got += k
+		if err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
+		if got == want {
+			return hdr[4], payload, nil
+		}
+		grown := make([]byte, min(want, 2*got))
+		copy(grown, payload)
+		payload = grown
 	}
-	return hdr[4], payload, nil
 }
 
 // wireBuf is a cursor over a frame payload with the same sticky-error

@@ -8,22 +8,21 @@
 // subspaces). Each shard exclusively owns the cell table, totals and
 // representative set of its subspaces, so the hot path takes no locks —
 // a shard's state is only ever touched by the goroutine processing it.
-// Process walks the shards inline on the caller's goroutine
-// (deterministic, allocation-free); ProcessBatch hands the whole batch
-// to one worker goroutine per shard and synchronizes only at batch
-// boundaries via channels. Verdicts are identical regardless of shard
-// count.
+// Every ingest call is a batch — Process is the one-point case — that
+// the dispatcher hands to one worker goroutine per shard, synchronizing
+// only at batch boundaries via channels. Verdicts are identical
+// regardless of shard count and batch size.
 //
 // Epoch engine: when Config.EpochTicks is set, the detector pauses at
-// every multiple of it — between points in Process, between internally
-// split sub-batches in ProcessBatch, always with the workers idle — and
+// every multiple of it — between internally split sub-batches, with the
+// workers idle — and
 // sweeps every summary table once: summaries whose decayed density fell
 // below Config.EvictEpsilon are evicted (bounding memory on drifting
 // streams), per-arity average populated-cell densities are recomputed
 // (feeding the arity-aware RD test), and the optional sst.Evolver is
 // consulted to promote or demote self-evolving SST subspaces. Because
-// sweeps happen at exact ticks in both modes, batch and pointwise
-// verdicts stay identical.
+// sweeps happen at exact ticks whatever the batch size, batch and
+// pointwise verdicts stay identical.
 package stream
 
 import (
@@ -168,15 +167,6 @@ type Config struct {
 	// instead of pinning subspaces to anomalies long gone. 0 retains
 	// examples until displaced by MaxExamples.
 	ExampleTTL uint64
-	// SerialSweep forces epoch sweeps to run inline on the dispatcher
-	// goroutine even when shard workers are available. By default the
-	// per-shard table sweeps fan out to the shard workers (each table
-	// is shard-exclusive and each subspace's statistics are written by
-	// exactly one shard, so results are identical) while the dispatcher
-	// sweeps the base-cell table, shrinking the epoch pause. Sweep
-	// results are bit-identical either way; the flag exists to measure
-	// the pause difference and to debug with a single-threaded sweep.
-	SerialSweep bool
 	// Scoring retains per-subspace deviation magnitudes through the
 	// verdict pass and folds them into one calibrated ensemble outlier
 	// score per flagged point (see ProcessScored, ProcessBatchScored,
@@ -270,8 +260,7 @@ type Detector struct {
 
 	// Base Cell Summaries over the full d-dimensional space; owned by
 	// the dispatcher goroutine, updated while shard workers run.
-	bcs      *core.BCSTable
-	bscratch []uint8 // 1×Dims discretization plane of the pointwise path
+	bcs *core.BCSTable
 
 	// Discretization plane of the current batch: the n×Dims interval
 	// indices, computed once by the dispatcher and read by every shard
@@ -311,6 +300,9 @@ type Detector struct {
 	sorter       attrSorter
 	scoreScratch []float64
 	topk         *topK
+
+	// one is the verdict slot of the pointwise API's one-point batch.
+	one [1]bool
 
 	// EVT auto-thresholding state (nil unless Config.AutoThreshold is
 	// enabled); owned by the dispatcher, refit at epoch sweeps.
@@ -412,12 +404,11 @@ func New(cfg Config) (*Detector, error) {
 		decay = core.NewDecayTable(cfg.Lambda)
 	}
 	d := &Detector{
-		cfg:      cfg,
-		grid:     grid,
-		tmpl:     tmpl,
-		decay:    decay,
-		bcs:      core.NewBCSTable(cfg.Dims),
-		bscratch: make([]uint8, cfg.Dims),
+		cfg:   cfg,
+		grid:  grid,
+		tmpl:  tmpl,
+		decay: decay,
+		bcs:   core.NewBCSTable(cfg.Dims),
 	}
 	if cfg.Scoring {
 		d.scoreScratch = make([]float64, 1)
@@ -453,12 +444,12 @@ func (d *Detector) Template() *sst.Template { return d.tmpl }
 func (d *Detector) Tick() uint64 { return d.tick }
 
 // Process ingests one d-dimensional point and reports whether any SST
-// subspace places it in an outlying cell. For points that land in
-// already-populated cells it performs zero heap allocations; the
-// amortized exception is the epoch sweep, which runs inline every
-// Config.EpochTicks points. The point is discretized exactly once —
-// the width-1 case of the batch discretization plane — and the same
-// interval row feeds the base-cell table and every shard.
+// subspace places it in an outlying cell. It is ProcessBatch on a
+// one-point batch: the same discretization, shard workers, verdict
+// merge and epoch sweeps, so pointwise and batch verdicts are
+// identical by construction. For points that land in already-populated
+// cells it performs zero heap allocations; the amortized exception is
+// the epoch sweep every Config.EpochTicks points.
 //
 // Input contract: out-of-range finite coordinates clamp to edge
 // cells; a point of other than Dims values panics with ErrBatchLength
@@ -483,42 +474,10 @@ func (d *Detector) ProcessErr(point []float64) (bool, error) {
 	if len(point) != d.cfg.Dims {
 		return false, fmt.Errorf("%w: point has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
 	}
-	if err := checkFinite(point, d.cfg.Dims); err != nil {
+	if _, err := d.ProcessBatchErr(point, d.one[:]); err != nil {
 		return false, err
 	}
-	return d.process(point), nil
-}
-
-func (d *Detector) process(point []float64) bool {
-	d.tick++
-	t := d.tick
-	d.grid.Intervals(point, d.bscratch)
-	d.bcs.Touch(d.decay, t, d.bscratch, point)
-	if d.cfg.Scoring {
-		d.attr.reset()
-	}
-	slot := -1
-	if d.auto != nil {
-		slot = d.auto.sampleSlot(t, d.cfg.EpochTicks)
-	}
-	out := false
-	for _, sh := range d.shards {
-		if sh.processPoint(point, d.bscratch, t, slot) {
-			out = true
-		}
-	}
-	if d.cfg.Scoring {
-		d.mergeScores(1, t-1, 0, d.scoreScratch[:1])
-	}
-	if d.auto != nil {
-		var f uint64
-		if out {
-			f = 1
-		}
-		d.auto.countFlags(1, f)
-	}
-	d.maybeSweep()
-	return out
+	return d.one[0], nil
 }
 
 // checkFinite rejects NaN and ±Inf coordinates; v-v is 0 for every
@@ -538,7 +497,7 @@ func checkFinite(flat []float64, dims int) error {
 // The batch is processed by all shard workers in parallel; a batch that
 // crosses an epoch boundary is split internally so sweeps still run at
 // exact epoch ticks, making verdicts identical to feeding the points to
-// Process one by one.
+// Process one by one (or in any other batch sizes).
 //
 // ProcessBatch panics on a malformed call (batch length not a multiple
 // of Dims, verdict buffer shorter than the batch, detector closed);
@@ -727,11 +686,13 @@ func (d *Detector) startWorkers() {
 // Close stops the shard workers and waits for them to exit: when it
 // returns, no detector goroutine remains, so a host tearing a tenant
 // down (or swapping in a migrated replacement) can free or reuse its
-// resources immediately. Close is idempotent — the second and every
-// later call is a no-op — and safe on a detector whose workers never
-// started. After Close every ingestion and snapshot entry point fails
-// with ErrClosed (the Err variants return it, the panicking wrappers
-// panic with it); Close must be called from the goroutine that drives
+// resources immediately. The workers start with the first ingested
+// point, pointwise or batched, so every detector that ingested should
+// be closed. Close is idempotent — the second and every later call is
+// a no-op — and safe on a detector whose workers never started. After
+// Close every ingestion and snapshot entry point fails with ErrClosed
+// (the Err variants return it, the panicking wrappers panic with it);
+// Close must be called from the goroutine that drives
 // Process/ProcessBatch, between calls, like every other non-ingest
 // operation.
 func (d *Detector) Close() {

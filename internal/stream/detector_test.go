@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"spot/internal/bench"
@@ -101,6 +103,16 @@ func TestShardInvariance(t *testing.T) {
 // 256-point batches and in 37-point batches — small enough that the
 // grouper's index shrinks to the batch, and misaligned with the 256-
 // and 2048-tick boundaries.
+//
+// The second table pins the tiling of the shard loop: a one-point
+// batch groups up to 512 subspaces per tile and a 512-point batch one,
+// so batch sizes around those widths (1, 2, 3, 64, 511, 512, 513, 1500)
+// at 1 and 3 shards must reproduce the 1-point feed's verdicts, score
+// bits, Explain entries and final TopK exactly. d=15 with arity ≤ 3
+// gives 575 subspaces (191–192 per shard at 3 shards): two tiles for a
+// single point at 1 shard, and a multiple of none of the tile widths
+// below one subspace (512, 256, 170, 8) on at least one shard. The
+// 700-tick epoch splits most batches.
 func TestBatchMatchesPointwise(t *testing.T) {
 	const d, n = 8, 2048
 	mk := func() *Detector {
@@ -144,6 +156,62 @@ func TestBatchMatchesPointwise(t *testing.T) {
 		}
 		if s := batched.Stats(); s.CoalesceGroupings == 0 {
 			t.Fatalf("batch %d: no grouping passes recorded", batch)
+		}
+	}
+
+	const td, tn = 15, 1600
+	tflat := make([]float64, tn*td)
+	tlabels := make([]bool, tn)
+	bench.NewGenerator(bench.DefaultGenConfig(td)).Fill(tflat, tlabels, tn)
+	for _, shards := range []int{1, 3} {
+		mkScored := func() *Detector {
+			cfg := DefaultConfig(td)
+			cfg.Shards = shards
+			cfg.Warmup = 100
+			cfg.EpochTicks = 700
+			cfg.Scoring = true
+			cfg.TopK = 8
+			det, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return det
+		}
+		ref := mkScored()
+		wantOut := make([]bool, tn)
+		wantScore := make([]float64, tn)
+		wantAttr := make([][]Attribution, tn)
+		for i := 0; i < tn; i++ {
+			wantOut[i], wantScore[i] = ref.ProcessScored(tflat[i*td : (i+1)*td])
+			wantAttr[i] = ref.Explain(0, nil)
+		}
+		wantTop := ref.TopK(nil)
+		ref.Close()
+		if len(wantTop) == 0 {
+			t.Fatalf("shards=%d: the 1-point feed flagged nothing; the table compares only zeros", shards)
+		}
+		for _, batch := range []int{1, 2, 3, 64, 511, 512, 513, 1500} {
+			det := mkScored()
+			out := make([]bool, batch)
+			scores := make([]float64, batch)
+			for off := 0; off < tn; off += batch {
+				m := min(batch, tn-off)
+				det.ProcessBatchScored(tflat[off*td:(off+m)*td], out[:m], scores[:m])
+				for i := 0; i < m; i++ {
+					p := off + i
+					if out[i] != wantOut[p] || math.Float64bits(scores[i]) != math.Float64bits(wantScore[p]) {
+						t.Fatalf("shards=%d batch=%d point %d: (%v, %v), 1-point feed (%v, %v)",
+							shards, batch, p, out[i], scores[i], wantOut[p], wantScore[p])
+					}
+					if got := det.Explain(i, nil); !reflect.DeepEqual(got, wantAttr[p]) {
+						t.Fatalf("shards=%d batch=%d point %d: Explain %v, 1-point feed %v", shards, batch, p, got, wantAttr[p])
+					}
+				}
+			}
+			if got := det.TopK(nil); !reflect.DeepEqual(got, wantTop) {
+				t.Fatalf("shards=%d batch=%d: TopK %v, 1-point feed %v", shards, batch, got, wantTop)
+			}
+			det.Close()
 		}
 	}
 }

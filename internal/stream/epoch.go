@@ -72,11 +72,11 @@ func (d *Detector) maybeSweep() {
 
 // epochSweep performs one full sweep at the current tick: shard tables
 // first (eviction, per-subspace and per-arity accounting), then the
-// base-cell table, then the per-arity averages, then evolution. When
-// the shard workers are running (batch mode) and SerialSweep is off,
-// the per-shard table sweeps fan out to the workers — each shard's
-// table is exclusively its own and each subspace's perSub entry is
-// written by exactly one shard, so the parallel sweep produces
+// base-cell table, then the per-arity averages, then evolution. A sweep
+// always follows an ingested chunk, so the shard workers are up; with
+// more than one shard the per-shard table sweeps fan out to them — each
+// shard's table is exclusively its own and each subspace's perSub entry
+// is written by exactly one shard, so the parallel sweep produces
 // bit-identical statistics — while the dispatcher overlaps the
 // base-cell sweep; the epoch pause then shrinks from the sum of the
 // table scans to roughly the largest one.
@@ -93,7 +93,7 @@ func (d *Detector) epochSweep() {
 			d.perSub[i] = sst.SubspaceStats{}
 		}
 	}
-	parallel := d.workersUp && !d.cfg.SerialSweep && len(d.shards) > 1
+	parallel := len(d.shards) > 1
 	if parallel {
 		for _, ch := range d.jobs {
 			ch <- job{sweep: true, t0: tick, eps: eps}
@@ -295,15 +295,16 @@ type Stats struct {
 	// retained for supervised evolution.
 	Examples int
 	// CoalescedPoints, CoalescedDistinct and CoalesceGroupings describe
-	// the batch path's duplication: across every grouping pass (one per
-	// subspace per sub-batch, epoch-split sub-batches included), how
-	// many point touches were folded, how many distinct cells they
-	// collapsed into, and how many passes there were.
-	// CoalescedDistinct/CoalesceGroupings is the average distinct-cell
-	// count per (subspace, batch) and CoalescedPoints/CoalescedDistinct
-	// the duplication ratio — the factor by which coalescing cuts index
-	// probes on this workload. Points ingested through Process are not
-	// grouped and count nowhere here; all zero in pointwise mode.
+	// the ingest path's duplication: across every grouping (one per
+	// subspace per sub-batch, epoch-split sub-batches included, however
+	// many subspaces one tile groups at once), how many point touches
+	// were folded, how many distinct cells they collapsed into, and how
+	// many groupings there were. CoalescedDistinct/CoalesceGroupings is
+	// the average distinct-cell count per (subspace, batch) and
+	// CoalescedPoints/CoalescedDistinct the duplication ratio — the
+	// factor by which coalescing cuts index probes on this workload.
+	// Process is a one-point batch, so each pointwise ingest adds one
+	// grouping, one point and one distinct cell per subspace.
 	CoalescedPoints   uint64
 	CoalescedDistinct uint64
 	CoalesceGroupings uint64

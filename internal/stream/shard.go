@@ -18,7 +18,7 @@ const repDecayStride = 32
 
 // subspaceState is the per-subspace state a shard owns exclusively,
 // laid out so one sequential walk over the states slice brings
-// everything processPoint needs into cache: the subspace's member
+// everything processBatch needs into cache: the subspace's member
 // dimensions and packed-key base (copied out of the shared template at
 // addSubspace time, so the hot loop never chases the template), the
 // arity-derived constants, the decayed subspace totals (density plus
@@ -69,10 +69,10 @@ type subspaceState struct {
 // shard owns an exclusive partition of the SST: the cell table, totals
 // and representatives of its subspaces. Only one goroutine ever touches
 // a shard's state while points flow, so the hot path is lock-free.
-// Epoch sweeps run either inline on the dispatcher goroutine or — in
-// batch mode — fanned out to the shard workers themselves (each shard's
-// table is exclusive either way); evolved-subspace add/remove always
-// runs on the dispatcher with workers idle.
+// Epoch sweeps run on the dispatcher goroutine with one shard and fan
+// out to the shard workers themselves with several (each shard's table
+// is exclusive either way); evolved-subspace add/remove always runs on
+// the dispatcher with workers idle.
 type shard struct {
 	det  *Detector
 	id   int
@@ -81,28 +81,13 @@ type shard struct {
 	states []subspaceState
 	table  *core.PCSTable // cell key -> PCS, sweepable
 
-	// Per-point pass scratch, one entry per owned subspace: cell keys,
-	// projected magnitudes, resolved dense slots and post-touch cell
-	// densities. Splitting the point's update into array passes makes
-	// the random table accesses of neighboring subspaces independent,
-	// so the CPU overlaps their cache misses instead of serializing
-	// each subspace's full chain.
-	keyScratch  []uint64
-	magScratch  []float64
-	slotScratch []uint32
-	dcScratch   []float64
-
-	// Batch-mode scratch, one entry per point of the current batch
-	// (the subspace-major tiling of processBatch transposes the pass
-	// structure: the arrays then span the batch's points for one
-	// subspace at a time), plus the column headers handed to
-	// core.AssembleCols.
+	// Tile scratch of processBatch, one entry per (subspace, point)
+	// pair of the current tile: cell keys, projected magnitudes, and
+	// the post-touch cell magnitude sums and densities.
 	bKeys []uint64
 	bMags []float64
 	bSS   []float64
 	bDcs  []float64
-	colC  [][]uint8
-	colV  [][]float64
 
 	// Representatives: the k densest cells of every owned subspace,
 	// maintained greedily in O(k) per touch, never a table scan.
@@ -120,16 +105,16 @@ type shard struct {
 	repKeys []uint64
 	repDcs  []float64
 
-	verdict []uint64 // per-batch verdict bitset (batch mode only)
+	verdict []uint64 // per-batch verdict bitset
 
 	// grouper is the batch-coalescing scratch, shared across the
-	// shard's subspaces: one subspace groups, folds and finishes its
-	// verdict pass before the next subspace regroups, so a single
-	// grouper per shard keeps the whole batch path at zero steady-state
-	// allocations. coalPoints/coalDistinct/coalGroupings count the
-	// points, distinct cells and passes of every grouping — one pass per
-	// (subspace, sub-batch) — the duplication statistics Stats and the
-	// bench harness report.
+	// shard's subspaces: one tile groups, folds and finishes its verdict
+	// pass before the next tile regroups, so a single grouper per shard
+	// keeps the whole batch path at zero steady-state allocations.
+	// coalPoints/coalDistinct/coalGroupings count the points, distinct
+	// cells and subspace groupings — one per (subspace, sub-batch),
+	// however many subspaces a tile groups at once — the duplication
+	// statistics Stats and the bench harness report.
 	grouper       core.Grouper
 	coalPoints    uint64
 	coalDistinct  uint64
@@ -146,7 +131,7 @@ type shard struct {
 	autoSamp [autoMeasures][core.MaxSubspaceDims + 1][]float64
 
 	// attr collects this shard's attribution entries for the current
-	// point/batch when Config.Scoring is set: one entry per flagged
+	// batch when Config.Scoring is set: one entry per flagged
 	// (subspace, cell) pair, point indices relative to the chunk. The
 	// shard writes it lock-free during its verdict pass; the
 	// dispatcher reads it after the batch joins, merges across shards
@@ -167,8 +152,6 @@ func newShard(d *Detector, id int) *shard {
 		det:   d,
 		id:    id,
 		table: core.NewPCSTable(),
-		colC:  make([][]uint8, 0, core.MaxSubspaceDims),
-		colV:  make([][]float64, 0, core.MaxSubspaceDims),
 	}
 	if d.auto != nil {
 		for m := range s.autoSamp {
@@ -203,10 +186,6 @@ func (s *shard) addSubspace(id uint32) {
 		st.invMaxDist = 1 / float64((phi-1)*size)
 	}
 	s.states = append(s.states, st)
-	s.keyScratch = append(s.keyScratch, 0)
-	s.magScratch = append(s.magScratch, 0)
-	s.slotScratch = append(s.slotScratch, 0)
-	s.dcScratch = append(s.dcScratch, 0)
 	for i := 0; i < s.det.cfg.K; i++ {
 		s.repKeys = append(s.repKeys, repEmpty)
 		s.repDcs = append(s.repDcs, 0)
@@ -233,195 +212,9 @@ func (s *shard) removeSubspace(id uint32) {
 		s.repDcs = s.repDcs[:last*k]
 		break
 	}
-	s.keyScratch = s.keyScratch[:len(s.states)]
-	s.magScratch = s.magScratch[:len(s.states)]
-	s.slotScratch = s.slotScratch[:len(s.states)]
-	s.dcScratch = s.dcScratch[:len(s.states)]
 	s.table.EvictIf(func(key uint64) bool {
 		return uint32(key>>core.SubspaceShift) == id
 	})
-}
-
-// processPoint folds one point observed at tick into every subspace the
-// shard owns and reports whether any of them finds it outlying. coords
-// holds the point's per-dimension interval indices, computed once per
-// point by the dispatcher's discretization plane. Zero heap allocations
-// when the point's cells already exist.
-//
-// The update is staged into array passes rather than one loop doing
-// everything per subspace: the table accesses of different subspaces
-// are random but mutually independent, so separating "resolve all
-// slots" from "touch all cells" lets the out-of-order core keep many
-// index/cell cache misses in flight at once, where the fused loop
-// serialized each subspace's probe → summary → verdict chain. The
-// per-subspace results are identical either way — subspaces share no
-// state within a point.
-//
-// A (subspace, point) pair that flags nothing makes no function call
-// in pass 3: decay lookups are inlined table loads, the all-pass exit
-// (allPass) is decided inline, and sampleSlot — the tick's
-// auto-threshold sample slot, -1 when unsampled — is computed once per
-// point by the dispatcher for every shard. Only flagging pairs, pairs
-// below the uniform expectation and sampled ticks call out.
-func (s *shard) processPoint(point []float64, coords []uint8, tick uint64, sampleSlot int) bool {
-	decay := s.det.decay
-	cfg := &s.det.cfg
-	tbl := s.table
-	n := len(s.states)
-	keys := s.keyScratch[:n]
-	mags := s.magScratch[:n]
-	slots := s.slotScratch[:n]
-	dcs := s.dcScratch[:n]
-	// Pass 1: assemble every subspace's packed cell key and projected
-	// magnitude, and fold the subspace totals (the body of PCS.Touch,
-	// inlined: a call per subspace would cost more than the fold) — a
-	// sequential walk over the shard-local flattened layout, no random
-	// access. Arities 1–3 (the fixed group's bulk) get unrolled key
-	// assembly with constant shifts; the template enumerates by
-	// increasing arity and shards deal round-robin, so the switch runs
-	// in long predictable runs.
-	for li := range s.states {
-		st := &s.states[li]
-		key := st.keyBase
-		var m float64
-		switch st.size {
-		case 1:
-			d0 := st.dims[0]
-			key |= uint64(coords[d0])
-			m = point[d0]
-		case 2:
-			d0, d1 := st.dims[0], st.dims[1]
-			key |= uint64(coords[d0]) | uint64(coords[d1])<<core.CoordBits
-			m = point[d0] + point[d1]
-		case 3:
-			d0, d1, d2 := st.dims[0], st.dims[1], st.dims[2]
-			key |= uint64(coords[d0]) | uint64(coords[d1])<<core.CoordBits | uint64(coords[d2])<<(2*core.CoordBits)
-			m = point[d0] + point[d1] + point[d2]
-		default:
-			for j, dim := range st.dims[:st.size] {
-				key |= uint64(coords[dim]) << (uint(j) * core.CoordBits)
-				m += point[dim]
-			}
-		}
-		keys[li] = key
-		mags[li] = m
-		tt := &st.total
-		if tt.Last != tick {
-			f := decay.At(tick - tt.Last)
-			tt.Dc *= f
-			tt.S *= f
-			tt.Q *= f
-			tt.Last = tick
-		}
-		tt.Dc++
-		tt.S += m
-		tt.Q += m * m
-	}
-	// Pass 2: resolve every key to its cell and fold the point in, one
-	// call-free loop inside the table so the independent index and
-	// cell-line misses of neighboring subspaces overlap; the post-touch
-	// densities come back in the dense dcs array. Slots stay valid
-	// across the inserts (appends never move existing cells).
-	tbl.TouchBatch(decay, tick, keys, mags, slots, dcs)
-	// Pass 3: representatives and verdicts — a purely sequential walk
-	// over states, reps and dcs; the only random access left is the
-	// rare scoredVerdict call. The all-measures-pass verdict exit is
-	// decided inline — one multiply and three compares, no division, no
-	// call — and only cells that flag on RD, sit under the populated
-	// floor, or fall below the uniform expectation (rd < 1, the gate for
-	// the costlier IRSD/IkRD measures) go on to scoredVerdict.
-	out := false
-	warmup := cfg.Warmup
-	k := cfg.K
-	scoring := cfg.Scoring
-	if scoring {
-		s.attr.reset()
-	}
-	rb := 0
-	for li := range s.states {
-		st := &s.states[li]
-		key := keys[li]
-		dc := dcs[li]
-		repKey := s.repKeys[rb : rb+k]
-		repDc := s.repDcs[rb : rb+k]
-		rb += k
-		// Fade the representative densities to the current tick in
-		// strides (decay factors compose, so one batched multiply per
-		// stride is exact up to rounding).
-		if dt := tick - st.repsLast; dt >= repDecayStride {
-			f := decay.At(dt)
-			for i := range repDc {
-				repDc[i] *= f
-			}
-			st.repMin *= f
-			st.repsLast = tick
-		}
-		// Representative update behind the cached-minimum gate: a
-		// touch with dc ≤ repMin can only be the minimum slot
-		// refreshing itself with its unchanged density, a no-op. Past
-		// the gate, refresh the slot this cell already holds (found
-		// branchlessly for the default K, see processBatch) or
-		// displace the sparsest representative, recomputing the cached
-		// minimum when it was the one written.
-		if dc > st.repMin {
-			found := -1
-			if k == 3 {
-				if repKey[2] == key {
-					found = 2
-				}
-				if repKey[1] == key {
-					found = 1
-				}
-				if repKey[0] == key {
-					found = 0
-				}
-			} else {
-				for i := range repKey {
-					if repKey[i] == key {
-						found = i
-						break
-					}
-				}
-			}
-			if found < 0 {
-				found = int(st.repMinI)
-				repKey[found] = key
-			}
-			repDc[found] = dc
-			if found == int(st.repMinI) {
-				st.repMin = repDc[0]
-				st.repMinI = 0
-				for i := 1; i < k; i++ {
-					if repDc[i] < st.repMin {
-						st.repMin = repDc[i]
-						st.repMinI = int32(i)
-					}
-				}
-			}
-		}
-		tot := st.total.Dc
-		if tot < warmup {
-			continue
-		}
-		// rd := dc * phiPow / tot, compared multiplicatively: the flag
-		// test rd < RDThreshold and the IRSD/IkRD gate rd < 1 become
-		// one multiply each instead of a division per subspace.
-		lhs := dc * st.phiPow
-		if sampleSlot >= 0 {
-			s.foldAutoSample(st, li, key, lhs, dc, tbl.CellAt(slots[li]).S, tot, st.total.S, st.total.Q, sampleSlot)
-		}
-		rhs := st.rdThr * tot
-		if allPass(lhs, rhs, dc, st.popFloor, tot) {
-			continue
-		}
-		if fired, sev := s.scoredVerdict(st, li, key, lhs, dc, tbl.CellAt(slots[li]).S, tot, st.total.S, st.total.Q, st.rdThr); fired != 0 {
-			out = true
-			if scoring {
-				s.attr.add(0, s.subs[li], key, fired, sev)
-			}
-		}
-	}
-	return out
 }
 
 // allPass is the inline all-measures-pass exit of both verdict loops:
@@ -437,56 +230,66 @@ func allPass(lhs, rhs, dc, popFloor, tdc float64) bool {
 	return lhs >= rhs && dc >= popFloor && lhs >= tdc
 }
 
-// processBatch runs a whole batch through the shard, recording verdicts
-// in the shard-local bitset (OR-merged word-wise by the dispatcher).
+// tilePairs is how many (subspace, point) pairs one tile of
+// processBatch covers: a tile spans max(1, tilePairs/n) subspaces of an
+// n-point batch. A 512-point batch thus runs one subspace per tile, and
+// a single point probes hundreds of subspaces' independent cells in one
+// TouchRuns loop, so the CPU overlaps their cache misses.
+const tilePairs = 512
+
+// processBatch runs a batch of jb.n points (one point for the pointwise
+// API) through the shard, recording verdicts in the shard-local bitset
+// (OR-merged word-wise by the dispatcher).
 //
-// The batch is processed subspace-major: for each owned subspace, all n
-// points run through the same three passes processPoint uses, before
-// moving to the next subspace. One subspace's points revisit a small
-// recurring cell set, so its index buckets, cell lines and
-// representative set stay L1-resident across the whole batch — where
-// the point-major order re-streamed the entire cell table (hundreds of
-// KiB) once per point. Every per-(subspace, point) computation is the
-// same as in processPoint and runs in the same per-point tick order
-// within a subspace, so verdicts are identical; only the interleaving
-// across subspaces — which shares no state — differs.
+// The batch is processed in tiles of consecutive owned subspaces, each
+// tile laid out subspace-major: stripe j of the tile's scratch holds
+// its j-th subspace's value for every point. Within a tile the update
+// is staged into array passes:
 //
-// Pass A+B assembles the subspace's keys (core.AssembleCols), groups
-// the batch by cell (core.Grouper) and probes the table once per
-// *distinct* cell, folding each cell's run of touches with the summary
-// in registers (core.TouchRuns) — on a dense stream most of a batch
-// lands in a few cells per subspace, so the per-point index probe and
-// cell-line traffic collapse into one per cell. Every batch takes this
-// path, epoch-split sub-batches of a handful of points included: the
-// grouper sizes its index to the batch, so a small batch pays a small
-// clear. Each cell folds the pointwise arithmetic in the pointwise
-// per-cell tick order, so summaries — and therefore verdicts — are
-// bit-identical to processPoint's.
+//   - Pass A assembles every (subspace, point) pair's packed cell key
+//     and projected magnitude straight from the dimension-major batch
+//     columns (assembleTile).
+//   - Pass B groups the tile's keys by cell (core.Grouper; a one-point
+//     batch has only singleton runs and skips the hashing) and probes
+//     the table once per distinct cell, folding each cell's run with
+//     the summary in registers (core.TouchRuns). On a dense stream most
+//     of a batch lands in a few cells per subspace, so index probes and
+//     cell-line traffic collapse to one per cell; for a single point
+//     the loop's random accesses are mutually independent, so their
+//     misses overlap instead of serializing each subspace's probe →
+//     summary → verdict chain.
+//   - Pass C folds the subspace totals, keeps the IkRD representatives
+//     and decides the verdicts, per subspace and per point in tick
+//     order.
 //
-// Past TouchRuns, pass C keeps the common pair call-free, as in
-// processPoint: the decay lookups inline, the all-pass exit is inline
-// (scoredVerdict runs only for pairs that may fire), and the
-// auto-threshold sample slots come precomputed per batch in jb.slots,
-// so no pair divides by the epoch geometry.
+// Each cell folds its touches in per-point tick order and subspaces
+// share no state, so summaries and verdicts are bit-identical to a
+// point-by-point feed whatever the batch size and tiling. A tile that
+// spans one subspace keeps that subspace's index buckets, cell lines
+// and representatives L1-resident across the batch.
+//
+// A (subspace, point) pair that flags nothing makes no function call
+// in pass C: the decay lookups inline, the all-pass exit (allPass) is
+// inline, and the auto-threshold sample slots come precomputed per
+// batch in jb.slots, so no pair divides by the epoch geometry. Only
+// flagging pairs, pairs below the uniform expectation and sampled
+// ticks call out.
 func (s *shard) processBatch(jb job) {
-	words := (jb.n + 63) >> 6
+	n := jb.n
+	words := (n + 63) >> 6
 	if cap(s.verdict) < words {
 		s.verdict = make([]uint64, words)
 	} else {
 		s.verdict = s.verdict[:words]
 		clear(s.verdict)
 	}
-	n := jb.n
-	if cap(s.bMags) < n {
-		s.bKeys = make([]uint64, n)
-		s.bMags = make([]float64, n)
-		s.bSS = make([]float64, n)
-		s.bDcs = make([]float64, n)
+	width := max(1, tilePairs/n)
+	if need := width * n; cap(s.bMags) < need {
+		s.bKeys = make([]uint64, need)
+		s.bMags = make([]float64, need)
+		s.bSS = make([]float64, need)
+		s.bDcs = make([]float64, need)
 	}
-	keys := s.bKeys[:n]
-	mags := s.bMags[:n]
-	ss := s.bSS[:n]
-	dcs := s.bDcs[:n]
 	verdict := s.verdict
 	decay := s.det.decay
 	cfg := &s.det.cfg
@@ -498,138 +301,246 @@ func (s *shard) processBatch(jb job) {
 		s.attr.reset()
 	}
 	f1 := decay.At(1)
-	flatT, planeT := jb.flatT, jb.planeT
 	// Auto-thresholding samples the per-point measure values on a
 	// deterministic tick stride. The slot of tick t0+i+1 depends on the
 	// tick alone, so the dispatcher computes the batch's slots once
 	// (nil without auto-thresholding) instead of every pair dividing.
 	slots := jb.slots
-	rb := 0
-	for li := range s.states {
-		st := &s.states[li]
-		repKey := s.repKeys[rb : rb+k]
-		repDc := s.repDcs[rb : rb+k]
-		rb += k
-		cc := s.colC[:0]
-		vv := s.colV[:0]
-		for j := 0; j < int(st.size); j++ {
-			off := int(st.dims[j]) * n
-			cc = append(cc, planeT[off:off+n])
-			vv = append(vv, flatT[off:off+n])
+	for l0 := 0; l0 < len(s.states); l0 += width {
+		l1 := min(l0+width, len(s.states))
+		pairs := (l1 - l0) * n
+		tKeys := s.bKeys[:pairs]
+		tMags := s.bMags[:pairs]
+		// Passes A and B. A one-point tile's keys are its runs, so they
+		// are assembled straight into the grouper.
+		if n == 1 {
+			tKeys = s.grouper.Singletons(pairs)
 		}
-		// Pass A+B: assemble keys, group by cell, one probe and one run
-		// fold per distinct cell.
-		core.AssembleCols(st.keyBase, cc, vv, keys, mags)
-		s.grouper.Group(keys)
-		s.coalPoints += uint64(n)
+		assembleTile(s.states[l0:l1], jb.planeT, jb.flatT, n, tKeys, tMags)
+		if n > 1 {
+			s.grouper.Group(tKeys)
+		}
+		s.coalPoints += uint64(pairs)
 		s.coalDistinct += uint64(s.grouper.Groups())
-		s.coalGroupings++
-		tbl.TouchRuns(decay, jb.t0, &s.grouper, mags, ss, dcs)
-		// Pass C: totals fold (the body of PCS.Touch, inlined), IkRD
-		// representative upkeep and verdicts, per point in tick order —
-		// the subspace totals trajectory each point's verdict compares
-		// against is exactly the pointwise one. The subspace's scalar
-		// state lives in locals across the loop (written back once) so
-		// the per-point work reads registers, not the state struct.
-		tt := &st.total
-		tdc, ts, tq, tlast := tt.Dc, tt.S, tt.Q, tt.Last
-		repMin, repMinI, repsLast := st.repMin, st.repMinI, st.repsLast
-		phiPow, popFloor, rdThr := st.phiPow, st.popFloor, st.rdThr
-		tick := jb.t0
-		for i := 0; i < n; i++ {
-			tick++
-			m := mags[i]
-			// Totals see every tick, so after the first point the fade
-			// gap is exactly one — the hoisted f1 skips the table
-			// lookup on the steady path.
-			if tlast+1 == tick {
-				tdc *= f1
-				ts *= f1
-				tq *= f1
-				tlast = tick
-			} else if tlast != tick {
-				f := decay.At(tick - tlast)
-				tdc *= f
-				ts *= f
-				tq *= f
-				tlast = tick
-			}
-			tdc++
-			ts += m
-			tq += m * m
-			key := keys[i]
-			dc := dcs[i]
-			if dt := tick - repsLast; dt >= repDecayStride {
-				f := decay.At(dt)
-				for j := range repDc {
-					repDc[j] *= f
+		s.coalGroupings += uint64(l1 - l0)
+		tbl.TouchRuns(decay, jb.t0, n, &s.grouper, tMags, s.bSS, s.bDcs)
+		// Pass C, one stripe per subspace: totals fold (the body of
+		// PCS.Touch, inlined), IkRD representative upkeep and verdicts,
+		// per point in tick order — the subspace totals trajectory each
+		// point's verdict compares against is exactly the pointwise
+		// one. The subspace's scalar state lives in locals across the
+		// loop (written back once) so the per-point work reads
+		// registers, not the state struct. The pair index p runs over
+		// the stripe [p0, end) of the tile arrays: slicing all four to
+		// pairs and clamping end to it (a no-op) leaves one bounds check
+		// per pair, where re-slicing four arrays per subspace costs a
+		// one-point batch ~10% of its time.
+		tKeys, tMags = tKeys[:pairs], tMags[:pairs]
+		ss, dcs := s.bSS[:pairs], s.bDcs[:pairs]
+		for li, p0 := l0, 0; li < l1; li, p0 = li+1, p0+n {
+			end := min(p0+n, pairs)
+			st := &s.states[li]
+			repKey := s.repKeys[li*k : li*k+k]
+			repDc := s.repDcs[li*k : li*k+k]
+			tt := &st.total
+			tdc, ts, tq, tlast := tt.Dc, tt.S, tt.Q, tt.Last
+			repMin, repMinI, repsLast := st.repMin, st.repMinI, st.repsLast
+			phiPow, popFloor, rdThr := st.phiPow, st.popFloor, st.rdThr
+			tick := jb.t0
+			for p := p0; p < end; p++ {
+				i := p - p0
+				tick++
+				m := tMags[p]
+				// Totals see every tick, so after the first point the
+				// fade gap is exactly one — the hoisted f1 skips the
+				// table lookup on the steady path.
+				if tlast+1 == tick {
+					tdc *= f1
+					ts *= f1
+					tq *= f1
+					tlast = tick
+				} else if tlast != tick {
+					f := decay.At(tick - tlast)
+					tdc *= f
+					ts *= f
+					tq *= f
+					tlast = tick
 				}
-				repMin *= f
-				repsLast = tick
-			}
-			// Representative update behind the cached-minimum gate;
-			// see processPoint for the reasoning.
-			if dc > repMin {
-				found := -1
-				if k == 3 {
-					// Branchless slot find for the default K:
-					// conditional moves instead of a loop whose exit
-					// position the predictor cannot guess.
-					if repKey[2] == key {
-						found = 2
+				tdc++
+				ts += m
+				tq += m * m
+				key := tKeys[p]
+				dc := dcs[p]
+				// Fade the representative densities to the current tick
+				// in strides (decay factors compose, so one batched
+				// multiply per stride is exact up to rounding).
+				if dt := tick - repsLast; dt >= repDecayStride {
+					f := decay.At(dt)
+					for j := range repDc {
+						repDc[j] *= f
 					}
-					if repKey[1] == key {
-						found = 1
+					repMin *= f
+					repsLast = tick
+				}
+				// Representative update behind the cached-minimum gate:
+				// a touch with dc ≤ repMin can only be the minimum slot
+				// refreshing itself with its unchanged density, a no-op.
+				// Past the gate, refresh the slot this cell already
+				// holds or displace the sparsest representative,
+				// recomputing the cached minimum when it was the one
+				// written.
+				if dc > repMin {
+					found := -1
+					if k == 3 {
+						// Branchless slot find for the default K:
+						// conditional moves instead of a loop whose exit
+						// position the predictor cannot guess.
+						if repKey[2] == key {
+							found = 2
+						}
+						if repKey[1] == key {
+							found = 1
+						}
+						if repKey[0] == key {
+							found = 0
+						}
+					} else {
+						for j := range repKey {
+							if repKey[j] == key {
+								found = j
+								break
+							}
+						}
 					}
-					if repKey[0] == key {
-						found = 0
+					if found < 0 {
+						found = int(repMinI)
+						repKey[found] = key
 					}
-				} else {
-					for j := range repKey {
-						if repKey[j] == key {
-							found = j
-							break
+					repDc[found] = dc
+					if found == int(repMinI) {
+						repMin = repDc[0]
+						repMinI = 0
+						for j := 1; j < k; j++ {
+							if repDc[j] < repMin {
+								repMin = repDc[j]
+								repMinI = int32(j)
+							}
 						}
 					}
 				}
-				if found < 0 {
-					found = int(repMinI)
-					repKey[found] = key
+				if tdc < warmup {
+					continue
 				}
-				repDc[found] = dc
-				if found == int(repMinI) {
-					repMin = repDc[0]
-					repMinI = 0
-					for j := 1; j < k; j++ {
-						if repDc[j] < repMin {
-							repMin = repDc[j]
-							repMinI = int32(j)
-						}
+				// rd = dc·φ^arity/tdc, compared multiplicatively: the
+				// flag test rd < rdThr and the IRSD/IkRD gate rd < 1
+				// become one multiply each instead of a division.
+				lhs := dc * phiPow
+				if slots != nil {
+					if slot := slots[i]; slot >= 0 {
+						s.foldAutoSample(st, li, key, lhs, dc, ss[p], tdc, ts, tq, int(slot))
+					}
+				}
+				rhs := rdThr * tdc
+				if allPass(lhs, rhs, dc, popFloor, tdc) {
+					continue
+				}
+				if fired, sev := s.scoredVerdict(st, li, key, lhs, dc, ss[p], tdc, ts, tq, rdThr); fired != 0 {
+					verdict[i>>6] |= 1 << (uint(i) & 63)
+					if scoring {
+						s.attr.add(int32(i), s.subs[li], key, fired, sev)
 					}
 				}
 			}
-			if tdc < warmup {
-				continue
-			}
-			lhs := dc * phiPow
-			if slots != nil {
-				if slot := slots[i]; slot >= 0 {
-					s.foldAutoSample(st, li, key, lhs, dc, ss[i], tdc, ts, tq, int(slot))
+			tt.Dc, tt.S, tt.Q, tt.Last = tdc, ts, tq, tlast
+			st.repMin, st.repMinI, st.repsLast = repMin, repMinI, repsLast
+		}
+	}
+}
+
+// assembleTile is pass A of processBatch: for each subspace of states
+// and each of the batch's n points it packs the point's cell key and
+// sums its projected magnitude into stripe j of keys and mags (entry
+// j*n+i), reading the member dimensions' columns of the dimension-major
+// batch (column dim of planeT/flatT spans [dim*n, (dim+1)*n)). Arities
+// 1–3, the fixed group's bulk, assemble with constant shifts; the
+// template enumerates by increasing arity and shards deal round-robin,
+// so the arity switch runs in long predictable runs.
+func assembleTile(states []subspaceState, planeT []uint8, flatT []float64, n int, keys []uint64, mags []float64) {
+	if n == 1 {
+		// One point: the columns are single values, indexed by the
+		// member dimensions directly.
+		keys = keys[:len(states)]
+		mags = mags[:len(states)]
+		for j := range states {
+			st := &states[j]
+			key := st.keyBase
+			var m float64
+			switch st.size {
+			case 1:
+				d0 := st.dims[0]
+				key |= uint64(planeT[d0])
+				m = flatT[d0]
+			case 2:
+				d0, d1 := st.dims[0], st.dims[1]
+				key |= uint64(planeT[d0]) | uint64(planeT[d1])<<core.CoordBits
+				m = flatT[d0] + flatT[d1]
+			case 3:
+				d0, d1, d2 := st.dims[0], st.dims[1], st.dims[2]
+				key |= uint64(planeT[d0]) | uint64(planeT[d1])<<core.CoordBits | uint64(planeT[d2])<<(2*core.CoordBits)
+				m = flatT[d0] + flatT[d1] + flatT[d2]
+			default:
+				for jj, dim := range st.dims[:st.size] {
+					key |= uint64(planeT[dim]) << (uint(jj) * core.CoordBits)
+					m += flatT[dim]
 				}
 			}
-			rhs := rdThr * tdc
-			if allPass(lhs, rhs, dc, popFloor, tdc) {
-				continue
+			keys[j] = key
+			mags[j] = m
+		}
+		return
+	}
+	for j := range states {
+		st := &states[j]
+		kb := st.keyBase
+		ks := keys[j*n : j*n+n]
+		ms := mags[j*n : j*n+n]
+		d0 := int(st.dims[0]) * n
+		c0, v0 := planeT[d0:d0+n], flatT[d0:d0+n]
+		switch st.size {
+		case 1:
+			for i := range ks {
+				ks[i] = kb | uint64(c0[i])
+				ms[i] = v0[i]
 			}
-			if fired, sev := s.scoredVerdict(st, li, key, lhs, dc, ss[i], tdc, ts, tq, rdThr); fired != 0 {
-				verdict[i>>6] |= 1 << (uint(i) & 63)
-				if scoring {
-					s.attr.add(int32(i), s.subs[li], key, fired, sev)
+		case 2:
+			d1 := int(st.dims[1]) * n
+			c1, v1 := planeT[d1:d1+n], flatT[d1:d1+n]
+			for i := range ks {
+				ks[i] = kb | uint64(c0[i]) | uint64(c1[i])<<core.CoordBits
+				ms[i] = v0[i] + v1[i]
+			}
+		case 3:
+			d1 := int(st.dims[1]) * n
+			d2 := int(st.dims[2]) * n
+			c1, v1 := planeT[d1:d1+n], flatT[d1:d1+n]
+			c2, v2 := planeT[d2:d2+n], flatT[d2:d2+n]
+			for i := range ks {
+				ks[i] = kb | uint64(c0[i]) | uint64(c1[i])<<core.CoordBits | uint64(c2[i])<<(2*core.CoordBits)
+				ms[i] = v0[i] + v1[i] + v2[i]
+			}
+		default:
+			for i := range ks {
+				key := kb
+				var m float64
+				for jj, dim := range st.dims[:st.size] {
+					off := int(dim)*n + i
+					key |= uint64(planeT[off]) << (uint(jj) * core.CoordBits)
+					m += flatT[off]
 				}
+				ks[i] = key
+				ms[i] = m
 			}
 		}
-		tt.Dc, tt.S, tt.Q, tt.Last = tdc, ts, tq, tlast
-		st.repMin, st.repMinI, st.repsLast = repMin, repMinI, repsLast
 	}
 }
 
