@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-compare microbench vet fmt-check lint fuzz cover e2e chaos
+.PHONY: build test bench bench-compare microbench vet fmt-check lint fuzz cover e2e chaos spotperf-check
 
 build:
 	go build ./...
@@ -8,6 +8,13 @@ test:
 
 vet:
 	go vet ./...
+
+# The repo benchmark (spotperf/) is a nested module built against this
+# checkout (replace spot => ../), so the root build and test never
+# compile it; this target does, so an API change that breaks the
+# benchmark harness fails here rather than at benchmark time.
+spotperf-check:
+	cd spotperf && go vet . && go test .
 
 # Short native-fuzzing smoke over the cell-key round-trip property,
 # the snapshot codec (mutated checkpoint bytes must decode with

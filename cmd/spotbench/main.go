@@ -181,35 +181,19 @@ func run(name string, d, shards, batch int, dur time.Duration, uniform bool) (re
 	gcfg := bench.DefaultGenConfig(d)
 	gcfg.Uniform = uniform
 	gen := bench.NewGenerator(gcfg)
-	const pool = 4
-	flats := make([][]float64, pool)
+	flats := batchPool(gen, d, batch)
 	labels := make([]bool, batch)
 	out := make([]bool, batch)
 	scores := make([]float64, batch)
-	for i := range flats {
-		flats[i] = make([]float64, batch*d)
-		gen.Fill(flats[i], labels, batch)
-	}
-	for i := range flats { // populate cell tables before timing
-		det.ProcessBatchScored(flats[i], out, scores)
-	}
-
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	points, flagged := 0, 0
-	start := time.Now()
-	for i := 0; time.Since(start) < dur; i++ {
-		det.ProcessBatchScored(flats[i%pool], out, scores)
-		points += batch
-		for _, f := range out {
-			if f {
-				flagged++
-			}
+	w, err := timeBatches(flats, batch, dur, func(flat []float64) (int, error) {
+		if _, err := det.ProcessBatch(flat, out, scores); err != nil {
+			return 0, err
 		}
+		return countFlagged(out), nil
+	})
+	if err != nil {
+		return result{}, err
 	}
-	elapsed := time.Since(start).Seconds()
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
 	var distinct, dup float64
 	if s := det.Stats(); s.CoalesceGroupings > 0 {
 		distinct = float64(s.CoalescedDistinct) / float64(s.CoalesceGroupings)
@@ -227,7 +211,9 @@ func run(name string, d, shards, batch int, dur time.Duration, uniform bool) (re
 	planted, caught := 0, 0
 	for i := 0; i < evalBatches; i++ {
 		gen.Fill(flats[0], labels, batch)
-		det.ProcessBatchScored(flats[0], out, scores)
+		if _, err := det.ProcessBatch(flats[0], out, scores); err != nil {
+			return result{}, err
+		}
 		evalScores = append(evalScores, scores...)
 		evalLabels = append(evalLabels, labels...)
 		for j, lab := range labels {
@@ -251,22 +237,16 @@ func run(name string, d, shards, batch int, dur time.Duration, uniform bool) (re
 		bitsetRecall = float64(caught) / float64(planted)
 	}
 
-	return result{
-		Name:           name,
-		Dims:           d,
-		Shards:         shards,
-		MaxDim:         cfg.MaxSubspaceDim,
-		Phi:            cfg.Phi,
-		Subspaces:      det.Template().Count(),
-		Batch:          batch,
-		Points:         points,
-		Seconds:        elapsed,
-		PointsPerSec:   float64(points) / elapsed,
-		NsPerPoint:     elapsed * 1e9 / float64(points),
-		AllocsPerPoint: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(points),
-		OutlierRate:    float64(flagged) / float64(points),
-		ProjectedCell:  det.ProjectedCells(),
-		BaseCells:      det.BaseCells(),
+	return w.measured(result{
+		Name:          name,
+		Dims:          d,
+		Shards:        shards,
+		MaxDim:        cfg.MaxSubspaceDim,
+		Phi:           cfg.Phi,
+		Subspaces:     det.Template().Count(),
+		Batch:         batch,
+		ProjectedCell: det.ProjectedCells(),
+		BaseCells:     det.BaseCells(),
 
 		DistinctCellsPerBatch: distinct,
 		CellDupRatio:          dup,
@@ -277,7 +257,77 @@ func run(name string, d, shards, batch int, dur time.Duration, uniform bool) (re
 		RankK:                 rankK,
 		BitsetRecall:          bitsetRecall,
 		BitsetPrecisionAtK:    bitsetPrec,
-	}, nil
+	}), nil
+}
+
+// batchPool fills the recycled pool of four batches every throughput
+// row ingests round-robin.
+func batchPool(gen *bench.Generator, d, batch int) [][]float64 {
+	labels := make([]bool, batch)
+	flats := make([][]float64, 4)
+	for i := range flats {
+		flats[i] = make([]float64, batch*d)
+		gen.Fill(flats[i], labels, batch)
+	}
+	return flats
+}
+
+// window is what timeBatches measured over its timed loop: points
+// ingested and flagged, wall seconds, and heap allocations.
+type window struct {
+	points, flagged int
+	seconds         float64
+	mallocs         uint64
+}
+
+// measured fills a result row's throughput fields from the window.
+func (w window) measured(r result) result {
+	r.Points = w.points
+	r.Seconds = w.seconds
+	r.PointsPerSec = float64(w.points) / w.seconds
+	r.NsPerPoint = w.seconds * 1e9 / float64(w.points)
+	r.AllocsPerPoint = float64(w.mallocs) / float64(w.points)
+	r.OutlierRate = float64(w.flagged) / float64(w.points)
+	return r
+}
+
+// timeBatches is the throughput loop of every library and daemon row:
+// one untimed pass over the batch pool populates the cell tables, then
+// the pool is ingested round-robin until dur elapses. ingest returns
+// how many of the batch's points were flagged.
+func timeBatches(flats [][]float64, batch int, dur time.Duration, ingest func(flat []float64) (int, error)) (window, error) {
+	for _, flat := range flats {
+		if _, err := ingest(flat); err != nil {
+			return window{}, err
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var w window
+	start := time.Now()
+	for i := 0; time.Since(start) < dur; i++ {
+		flagged, err := ingest(flats[i%len(flats)])
+		if err != nil {
+			return window{}, err
+		}
+		w.points += batch
+		w.flagged += flagged
+	}
+	w.seconds = time.Since(start).Seconds()
+	runtime.ReadMemStats(&after)
+	w.mallocs = after.Mallocs - before.Mallocs
+	return w, nil
+}
+
+// countFlagged counts the flagged verdicts of one batch.
+func countFlagged(out []bool) int {
+	n := 0
+	for _, f := range out {
+		if f {
+			n++
+		}
+	}
+	return n
 }
 
 // rankMetrics scores a labeled ranking: tie-aware AUC via the rank-sum
@@ -388,7 +438,9 @@ func runDrift() (*driftResult, error) {
 		buf := make([]float64, d)
 		for i := 0; i < points; i++ {
 			gen.Next(buf)
-			det.Process(buf)
+			if _, _, err := det.Process(buf); err != nil {
+				return 0, stream.Stats{}, err
+			}
 			if i+1 == points/2 {
 				mid = det.Stats().SummaryEntries
 			}
@@ -467,7 +519,10 @@ func runEvolution() (*evolutionResult, error) {
 	planted, caught := 0, 0
 	for i := 0; i < points; i++ {
 		isOut := gen.Next(buf)
-		flag := det.Process(buf)
+		flag, _, err := det.Process(buf)
+		if err != nil {
+			return nil, err
+		}
 		if i < 2*int(cfg.EpochTicks)+100 {
 			continue // pre-promotion + warmup window
 		}
@@ -560,12 +615,16 @@ func runSupervised() (*supervisedResult, error) {
 		var planted, caught, totPlanted, totCaught, marked int
 		for i := 0; i < epochs*int(cfg.EpochTicks); i++ {
 			isOut := gen.Next(buf)
-			flag := det.Process(buf)
+			flag, _, err := det.Process(buf)
+			if err == nil && isOut && supervise {
+				err = det.MarkExample(buf)
+				marked++
+			}
+			if err != nil {
+				det.Close()
+				return nil, nil, 0, 0, err
+			}
 			if isOut {
-				if supervise {
-					det.MarkExample(buf)
-					marked++
-				}
 				planted++
 				if flag {
 					caught++
@@ -699,7 +758,9 @@ func runCheckpoint(dur time.Duration, batch int) (*checkpointResult, error) {
 	out := make([]bool, batch)
 	for i := 0; i < 40; i++ {
 		gen.Fill(flat, labels, batch)
-		det.ProcessBatch(flat, out)
+		if _, err := det.ProcessBatch(flat, out, nil); err != nil {
+			return nil, err
+		}
 	}
 
 	var buf bytes.Buffer
@@ -790,34 +851,7 @@ func runServingPath(dur time.Duration, batch int) (*servingPathResult, []result,
 	// perpetually fresh, so the populated-RD test would flag wholesale.
 	cfg.RDPopulatedThreshold = 0
 
-	gcfg := bench.DefaultGenConfig(d)
-	gen := bench.NewGenerator(gcfg)
-	const pool = 4
-	flats := make([][]float64, pool)
-	labels := make([]bool, batch)
-	for i := range flats {
-		flats[i] = make([]float64, batch*d)
-		gen.Fill(flats[i], labels, batch)
-	}
-
-	// measure warms with one pass over the pool, then drives batches
-	// until the duration elapses and returns points/sec.
-	measure := func(ingest func(flat []float64) error) (float64, int, error) {
-		for _, flat := range flats {
-			if err := ingest(flat); err != nil {
-				return 0, 0, err
-			}
-		}
-		points := 0
-		start := time.Now()
-		for i := 0; time.Since(start) < dur; i++ {
-			if err := ingest(flats[i%pool]); err != nil {
-				return 0, 0, err
-			}
-			points += batch
-		}
-		return float64(points) / time.Since(start).Seconds(), points, nil
-	}
+	flats := batchPool(bench.NewGenerator(bench.DefaultGenConfig(d)), d, batch)
 
 	// startServer serves one in-process spotd on loopback; the returned
 	// stop drains it.
@@ -847,9 +881,11 @@ func runServingPath(dur time.Duration, batch int) (*servingPathResult, []result,
 		return nil, nil, err
 	}
 	out := make([]bool, batch)
-	libPts, libPoints, err := measure(func(flat []float64) error {
-		det.ProcessBatch(flat, out)
-		return nil
+	lib, err := timeBatches(flats, batch, dur, func(flat []float64) (int, error) {
+		if _, err := det.ProcessBatch(flat, out, nil); err != nil {
+			return 0, err
+		}
+		return countFlagged(out), nil
 	})
 	det.Close()
 	if err != nil {
@@ -858,22 +894,25 @@ func runServingPath(dur time.Duration, batch int) (*servingPathResult, []result,
 
 	// Leg 2: the daemon path — one synchronous Ingest per batch over
 	// loopback TCP.
-	ingestLeg := func(addr string) (float64, int, error) {
+	ingestLeg := func(addr string) (window, error) {
 		c, err := server.Dial(addr)
 		if err != nil {
-			return 0, 0, err
+			return window{}, err
 		}
 		defer c.Close()
-		return measure(func(flat []float64) error {
-			_, err := c.Ingest(servingTenant, flat, batch, server.IngestOptions{})
-			return err
+		return timeBatches(flats, batch, dur, func(flat []float64) (int, error) {
+			res, err := c.Ingest(servingTenant, flat, batch, server.IngestOptions{})
+			if err != nil {
+				return 0, err
+			}
+			return countFlagged(res.Verdicts), nil
 		})
 	}
 	_, priAddr, priStop, err := startServer(server.Options{ID: "bench-pri"})
 	if err != nil {
 		return nil, nil, err
 	}
-	daemonPts, daemonPoints, err := ingestLeg(priAddr)
+	daemon, err := ingestLeg(priAddr)
 	priStop()
 	if err != nil {
 		return nil, nil, err
@@ -900,7 +939,7 @@ func runServingPath(dur time.Duration, batch int) (*servingPathResult, []result,
 	if err != nil {
 		return nil, nil, err
 	}
-	standbyPts, standbyPoints, err := ingestLeg(pri2Addr)
+	standby, err := ingestLeg(pri2Addr)
 	if err != nil {
 		shipper.Stop()
 		return nil, nil, err
@@ -921,19 +960,18 @@ func runServingPath(dur time.Duration, batch int) (*servingPathResult, []result,
 		behind = priTS.Tick - sbyTS.Tick
 	}
 
-	mkRow := func(name string, pts float64, points int) result {
-		return result{
+	mkRow := func(name string, w window) result {
+		return w.measured(result{
 			Name: name, Dims: d, Shards: shards, MaxDim: cfg.MaxSubspaceDim,
-			Phi: cfg.Phi, Batch: batch, Points: points,
-			Seconds: float64(points) / pts, PointsPerSec: pts,
-			NsPerPoint: 1e9 / pts,
-		}
+			Phi: cfg.Phi, Batch: batch,
+		})
 	}
 	rows := []result{
-		mkRow("serving/library", libPts, libPoints),
-		mkRow("serving/daemon", daemonPts, daemonPoints),
-		mkRow("serving/daemon+standby", standbyPts, standbyPoints),
+		mkRow("serving/library", lib),
+		mkRow("serving/daemon", daemon),
+		mkRow("serving/daemon+standby", standby),
 	}
+	libPts, daemonPts, standbyPts := rows[0].PointsPerSec, rows[1].PointsPerSec, rows[2].PointsPerSec
 	return &servingPathResult{
 		Dims:                d,
 		Shards:              shards,
@@ -1019,16 +1057,12 @@ func runAutoThreshold() (*autoThresholdResult, error) {
 		out := make([]bool, epochTicks)
 		feed := func(epochs int, scale float64) float64 {
 			flags := 0
-			for e := 0; e < epochs; e++ {
+			for e := 0; e < epochs && err == nil; e++ {
 				for i := range flat {
 					flat[i] = rng.Float64() * scale
 				}
-				det.ProcessBatch(flat, out)
-				for _, f := range out {
-					if f {
-						flags++
-					}
-				}
+				_, err = det.ProcessBatch(flat, out, nil)
+				flags += countFlagged(out)
 			}
 			return float64(flags) / float64(epochs*epochTicks)
 		}
@@ -1037,6 +1071,9 @@ func runAutoThreshold() (*autoThresholdResult, error) {
 		// The support collapses to [0, 0.5)^d; re-learn, then measure.
 		feed(warmEpochs, 0.5)
 		drifted := feed(measureEpochs, 0.5)
+		if err != nil {
+			return autoThresholdLeg{}, err
+		}
 		s := det.Stats()
 		inBand := func(rate float64) bool {
 			return risk > 0 && rate >= risk/3 && rate <= risk*3

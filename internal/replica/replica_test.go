@@ -318,7 +318,9 @@ func TestFailoverFollowsPromotion(t *testing.T) {
 	}
 	defer oracle.Close()
 	want := make([]bool, batch*batches)
-	oracle.ProcessBatch(flat, want)
+	if _, err := oracle.ProcessBatch(flat, want, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	priA, addrA := startServer(t, server.Options{ID: "a"},
 		[]server.TenantConfig{{Name: "r", Stream: cfg}})

@@ -108,7 +108,7 @@ func TestIngestMatchesOracle(t *testing.T) {
 		}
 		wantV := make([]bool, batch)
 		wantS := make([]float64, batch)
-		if _, err := oracle.ProcessBatchScoredErr(chunk, wantV, wantS); err != nil {
+		if _, err := oracle.ProcessBatch(chunk, wantV, wantS); err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < batch; j++ {
@@ -248,6 +248,43 @@ func TestMalformedFrame(t *testing.T) {
 	}
 }
 
+// TestTruncatedFrameCounted sends a frame header that declares a
+// payload, then hangs up before the first payload byte: that is a
+// truncated frame, not a clean disconnect, so the server counts it in
+// BadFrames exactly once and keeps serving.
+func TestTruncatedFrameCounted(t *testing.T) {
+	_, addr := startServer(t, Options{}, []TenantConfig{{Name: "a", Stream: testStream(2)}})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Declared length 5: the type byte plus four payload bytes that
+	// never arrive.
+	if _, err := raw.Write([]byte{5, 0, 0, 0, msgIngest}); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+
+	c := dial(t, addr)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, err := c.ServerStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.BadFrames == 1 {
+			break
+		}
+		if st.BadFrames > 1 || time.Now().After(deadline) {
+			t.Fatalf("BadFrames = %d after one truncated frame, want 1", st.BadFrames)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSharedDecayTenants checks that tenants sharing a Lambda (and so
 // one decay table) still produce verdicts identical to isolated
 // oracles — sharing is an allocation optimisation, never a coupling.
@@ -284,8 +321,12 @@ func TestSharedDecayTenants(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantA, wantB := make([]bool, 30), make([]bool, 30)
-		oa.ProcessBatch(chunkA, wantA)
-		ob.ProcessBatch(chunkB, wantB)
+		if _, err := oa.ProcessBatch(chunkA, wantA, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ob.ProcessBatch(chunkB, wantB, nil); err != nil {
+			t.Fatal(err)
+		}
 		for j := 0; j < 30; j++ {
 			if resA.Verdicts[j] != wantA[j] || resB.Verdicts[j] != wantB[j] {
 				t.Fatalf("batch %d point %d: tenant verdicts diverged from isolated oracles", i, j)
@@ -310,7 +351,9 @@ func TestDrainAndRecover(t *testing.T) {
 	}
 	defer oracle.Close()
 	want := make([]bool, 4*batch)
-	oracle.ProcessBatch(flat, want)
+	if _, err := oracle.ProcessBatch(flat, want, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	s1, err := New(Options{}, []TenantConfig{{Name: "a", Stream: cfg, Dir: dir, Keep: 2}})
 	if err != nil {

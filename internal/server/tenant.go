@@ -311,14 +311,10 @@ func (t *tenant) ingest(req *request) {
 	t0 := t.det.Tick()
 	out := make([]bool, req.n)
 	var scores []float64
-	var err error
 	if req.scored {
 		scores = make([]float64, req.n)
-		_, err = t.det.ProcessBatchScoredErr(req.flat, out, scores)
-	} else {
-		_, err = t.det.ProcessBatchErr(req.flat, out)
 	}
-	if err != nil {
+	if _, err := t.det.ProcessBatch(req.flat, out, scores); err != nil {
 		req.resp <- response{code: streamErrCode(err), msg: err.Error()}
 		return
 	}

@@ -190,8 +190,10 @@ func writeFrame(w io.Writer, typ uint8, head, body []byte) error {
 // payload excludes the type byte. The payload buffer grows with the
 // bytes received (see frameChunk), so a peer that declares a large
 // frame and then stalls or hangs up holds at most twice what it sent.
-// A frame cut short after some payload bytes returns
-// io.ErrUnexpectedEOF; io.EOF means no payload byte arrived.
+// A frame cut short anywhere after its first byte — mid-header, or
+// with its header complete and its payload short — returns
+// io.ErrUnexpectedEOF; io.EOF means the stream ended cleanly between
+// frames.
 func readFrame(r io.Reader) (uint8, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -207,7 +209,7 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 		k, err := io.ReadFull(r, payload[got:])
 		got += k
 		if err != nil {
-			if err == io.EOF && got > 0 {
+			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return 0, nil, err

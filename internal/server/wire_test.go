@@ -53,9 +53,9 @@ func TestReadFrameLarge(t *testing.T) {
 		if typ != msgRestore || !bytes.Equal(got, payload) {
 			t.Fatalf("size %d: frame did not round-trip", size)
 		}
-		// The same frame cut one byte short, after at least one payload
-		// byte, fails as a short frame.
-		if size > 1 {
+		// The same frame cut one byte short — its header complete, at
+		// least one payload byte missing — fails as a short frame.
+		if size >= 1 {
 			in := frame(msgRestore, payload)
 			if _, _, err := readFrame(bytes.NewReader(in[:len(in)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("size %d cut short: err = %v, want io.ErrUnexpectedEOF", size, err)

@@ -70,7 +70,7 @@ func TestAutoThresholdCalibrates(t *testing.T) {
 	buf := make([]float64, cfg.Dims)
 	for i := 0; i < 4*int(cfg.EpochTicks); i++ {
 		next(buf)
-		det.Process(buf)
+		mustProcess(det, buf)
 	}
 	st := det.Stats()
 	if st.Calibrations == 0 {
@@ -102,7 +102,7 @@ func TestAutoThresholdOffStatsZero(t *testing.T) {
 	buf := make([]float64, cfg.Dims)
 	for i := 0; i < 2*int(cfg.EpochTicks); i++ {
 		next(buf)
-		det.Process(buf)
+		mustProcess(det, buf)
 	}
 	st := det.Stats()
 	if st.Calibrations != 0 || st.CalibrationSamples != 0 || st.CalibratedThresholds != 0 || st.AutoEffTrials != 0 {
@@ -130,14 +130,14 @@ func TestAutoThresholdFlaggedRateBand(t *testing.T) {
 	// effective-trials divisor.
 	for i := 0; i < 40*int(cfg.EpochTicks); i++ {
 		next(buf)
-		det.Process(buf)
+		mustProcess(det, buf)
 	}
 	// Measure phase.
 	const measure = 30720
 	flags := 0
 	for i := 0; i < measure; i++ {
 		next(buf)
-		if det.Process(buf) {
+		if mustProcess(det, buf) {
 			flags++
 		}
 	}
@@ -166,7 +166,7 @@ func TestAutoThresholdRefitsUnderDrift(t *testing.T) {
 		for j := range buf {
 			buf[j] = rng.Float64()
 		}
-		det.Process(buf)
+		mustProcess(det, buf)
 	}
 	calsBefore := det.Stats().Calibrations
 	// Shift: all mass moves to [0, 0.5) on every axis. Let the
@@ -176,7 +176,7 @@ func TestAutoThresholdRefitsUnderDrift(t *testing.T) {
 		for j := range buf {
 			buf[j] = rng.Float64() * 0.5
 		}
-		det.Process(buf)
+		mustProcess(det, buf)
 	}
 	if calsAfter := det.Stats().Calibrations; calsAfter <= calsBefore {
 		t.Errorf("no calibrations after drift: %d before, %d after", calsBefore, calsAfter)
@@ -187,7 +187,7 @@ func TestAutoThresholdRefitsUnderDrift(t *testing.T) {
 		for j := range buf {
 			buf[j] = rng.Float64() * 0.5
 		}
-		if det.Process(buf) {
+		if mustProcess(det, buf) {
 			flags++
 		}
 	}
@@ -220,7 +220,7 @@ func TestAutoThresholdShardAndBatchInvariance(t *testing.T) {
 		defer det.Close()
 		out := make([]bool, n)
 		for i := 0; i < n; i++ {
-			out[i] = det.Process(flat[i*d : (i+1)*d])
+			out[i] = mustProcess(det, flat[i*d:(i+1)*d])
 		}
 		return out
 	}
@@ -236,7 +236,7 @@ func TestAutoThresholdShardAndBatchInvariance(t *testing.T) {
 		out := make([]bool, n)
 		for done := 0; done < n; done += batch {
 			end := min(done+batch, n)
-			det.ProcessBatch(flat[done*d:end*d], out[done:end])
+			mustBatch(det, flat[done*d:end*d], out[done:end], nil)
 		}
 		return out
 	}
@@ -288,12 +288,12 @@ func TestAutoThresholdScoredInvariance(t *testing.T) {
 		r := result{out: make([]bool, n), scores: make([]float64, n)}
 		if batch == 0 {
 			for i := 0; i < n; i++ {
-				r.out[i], r.scores[i] = det.ProcessScored(flat[i*d : (i+1)*d])
+				r.out[i], r.scores[i] = mustProcessScored(det, flat[i*d:(i+1)*d])
 			}
 		} else {
 			for done := 0; done < n; done += batch {
 				end := min(done+batch, n)
-				det.ProcessBatchScored(flat[done*d:end*d], r.out[done:end], r.scores[done:end])
+				mustBatch(det, flat[done*d:end*d], r.out[done:end], r.scores[done:end])
 			}
 		}
 		r.stats = det.Stats()

@@ -35,11 +35,11 @@ func BenchmarkDetector(b *testing.B) {
 				}
 				// Populate the cell tables before timing.
 				for i := range flats {
-					det.ProcessBatch(flats[i], out)
+					mustBatch(det, flats[i], out, nil)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					det.ProcessBatch(flats[i%pool], out)
+					mustBatch(det, flats[i%pool], out, nil)
 				}
 				b.StopTimer()
 				pts := float64(b.N * batch)

@@ -31,7 +31,7 @@ func TestCloseIdempotent(t *testing.T) {
 		if workers {
 			flat := make([]float64, 8*4)
 			out := make([]bool, 8)
-			d.ProcessBatch(flat, out)
+			mustBatch(d, flat, out, nil)
 		}
 		if d.Closed() {
 			t.Fatalf("workers=%v: Closed() true before Close", workers)
@@ -46,25 +46,28 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestClosedEntryPoints drives every ingestion and snapshot entry
-// point against a closed detector: the Err variants must return typed
-// ErrClosed, the panicking wrappers must panic with it — and in
-// either case before any state is touched.
+// point against a closed detector: each must return the typed
+// ErrClosed before any state is touched.
 func TestClosedEntryPoints(t *testing.T) {
 	point := []float64{0.1, 0.2, 0.3, 0.4}
 	flat := append(append([]float64{}, point...), point...)
 	out := make([]bool, 2)
 	scores := make([]float64, 2)
 
-	errCases := []struct {
+	cases := []struct {
 		name string
 		call func(d *Detector) error
 	}{
-		{"ProcessErr", func(d *Detector) error {
-			_, err := d.ProcessErr(point)
+		{"Process", func(d *Detector) error {
+			_, _, err := d.Process(point)
 			return err
 		}},
-		{"ProcessBatchErr", func(d *Detector) error {
-			_, err := d.ProcessBatchErr(flat, out)
+		{"ProcessBatch", func(d *Detector) error {
+			_, err := d.ProcessBatch(flat, out, nil)
+			return err
+		}},
+		{"ProcessBatch scored", func(d *Detector) error {
+			_, err := d.ProcessBatch(flat, out, scores)
 			return err
 		}},
 		{"ProcessBatchScoredErr", func(d *Detector) error {
@@ -75,15 +78,6 @@ func TestClosedEntryPoints(t *testing.T) {
 			return d.Snapshot(io.Discard)
 		}},
 	}
-	panicCases := []struct {
-		name string
-		call func(d *Detector)
-	}{
-		{"Process", func(d *Detector) { d.Process(point) }},
-		{"ProcessBatch", func(d *Detector) { d.ProcessBatch(flat, out) }},
-		{"ProcessScored", func(d *Detector) { d.ProcessScored(point) }},
-		{"ProcessBatchScored", func(d *Detector) { d.ProcessBatchScored(flat, out, scores) }},
-	}
 
 	for _, shards := range []int{1, 2} {
 		d, err := New(closedConfig(shards))
@@ -92,26 +86,14 @@ func TestClosedEntryPoints(t *testing.T) {
 		}
 		// Ingest a little so the closed detector holds real state the
 		// rejected calls must not have mutated.
-		d.ProcessBatch(flat, out)
+		mustBatch(d, flat, out, nil)
 		before := d.Stats()
 		d.Close()
 
-		for _, tc := range errCases {
+		for _, tc := range cases {
 			if err := tc.call(d); !errors.Is(err, ErrClosed) {
 				t.Errorf("shards=%d: %s on closed detector: got %v, want ErrClosed", shards, tc.name, err)
 			}
-		}
-		for _, tc := range panicCases {
-			func() {
-				defer func() {
-					r := recover()
-					err, ok := r.(error)
-					if !ok || !errors.Is(err, ErrClosed) {
-						t.Errorf("shards=%d: %s on closed detector: panic %v, want ErrClosed", shards, tc.name, r)
-					}
-				}()
-				tc.call(d)
-			}()
 		}
 		if after := d.Stats(); after != before {
 			t.Errorf("shards=%d: rejected calls mutated state: before %+v, after %+v", shards, before, after)
@@ -121,7 +103,7 @@ func TestClosedEntryPoints(t *testing.T) {
 
 // TestClosedScoringDisabledOrder pins the error precedence on a
 // closed non-scoring detector: ErrClosed wins over ErrScoringDisabled
-// in both the panicking and Err-returning scored variants.
+// for a scored ProcessBatch call.
 func TestClosedScoringDisabledOrder(t *testing.T) {
 	cfg := DefaultConfig(4)
 	d, err := New(cfg)
@@ -130,17 +112,8 @@ func TestClosedScoringDisabledOrder(t *testing.T) {
 	}
 	d.Close()
 	point := []float64{0.1, 0.2, 0.3, 0.4}
-	func() {
-		defer func() {
-			err, ok := recover().(error)
-			if !ok || !errors.Is(err, ErrClosed) {
-				t.Errorf("ProcessScored on closed non-scoring detector: want ErrClosed, got %v", err)
-			}
-		}()
-		d.ProcessScored(point)
-	}()
-	if _, err := d.ProcessBatchScoredErr(point, make([]bool, 1), make([]float64, 1)); !errors.Is(err, ErrClosed) {
-		t.Errorf("ProcessBatchScoredErr on closed non-scoring detector: want ErrClosed, got %v", err)
+	if _, err := d.ProcessBatch(point, make([]bool, 1), make([]float64, 1)); !errors.Is(err, ErrClosed) {
+		t.Errorf("scored ProcessBatch on closed non-scoring detector: want ErrClosed, got %v", err)
 	}
 }
 
@@ -178,8 +151,8 @@ func TestSharedDecayTable(t *testing.T) {
 	}
 	outA := make([]bool, n)
 	outB := make([]bool, n)
-	a.ProcessBatch(flat, outA)
-	b.ProcessBatch(flat, outB)
+	mustBatch(a, flat, outA, nil)
+	mustBatch(b, flat, outB, nil)
 	for i := range outA {
 		if outA[i] != outB[i] {
 			t.Fatalf("verdict %d diverges between private and shared decay table", i)
@@ -196,8 +169,8 @@ func TestSharedDecayTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	a.ProcessBatch(flat, outA)
-	c.ProcessBatch(flat, outB)
+	mustBatch(a, flat, outA, nil)
+	mustBatch(c, flat, outB, nil)
 	for i := range outA {
 		if outA[i] != outB[i] {
 			t.Fatalf("post-restore verdict %d diverges with shared decay table", i)

@@ -8,10 +8,12 @@
 // subspaces). Each shard exclusively owns the cell table, totals and
 // representative set of its subspaces, so the hot path takes no locks —
 // a shard's state is only ever touched by the goroutine processing it.
-// Every ingest call is a batch — Process is the one-point case — that
-// the dispatcher hands to one worker goroutine per shard, synchronizing
-// only at batch boundaries via channels. Verdicts are identical
-// regardless of shard count and batch size.
+// Every ingest call is a ProcessBatch — Process is the one-point case —
+// that the dispatcher hands to one worker goroutine per shard,
+// synchronizing only at batch boundaries via channels. Malformed input
+// returns a typed error (ErrBatchLength, ErrNonFinite, ...) before any
+// state is touched; nothing on the ingest path panics on caller input.
+// Verdicts are identical regardless of shard count and batch size.
 //
 // Epoch engine: when Config.EpochTicks is set, the detector pauses at
 // every multiple of it — between internally split sub-batches, with the
@@ -36,9 +38,9 @@ import (
 	"spot/internal/sst"
 )
 
-// Typed errors of the ingestion API, returned by ProcessBatchErr (the
-// panicking ProcessBatch wraps them): a caller's malformed batch must
-// not take the detector's learned state down with it.
+// Typed errors of the ingestion API (Process, ProcessBatch and
+// MarkExample): a caller's malformed input must not take the
+// detector's learned state down with it.
 var (
 	// ErrBatchLength marks a flat batch whose length is not a multiple
 	// of the configured dimensionality, or a single point whose length
@@ -46,11 +48,11 @@ var (
 	ErrBatchLength = errors.New("stream: batch length not a multiple of Dims")
 	// ErrVerdictBuffer marks a verdict buffer shorter than the batch.
 	ErrVerdictBuffer = errors.New("stream: verdict buffer shorter than batch")
-	// ErrScoreBuffer marks a score buffer shorter than the batch in a
-	// ProcessBatchScored call.
+	// ErrScoreBuffer marks a non-nil score buffer shorter than the
+	// batch.
 	ErrScoreBuffer = errors.New("stream: score buffer shorter than batch")
-	// ErrScoringDisabled marks a scored-API call (ProcessScored,
-	// ProcessBatchScored) on a detector built without Config.Scoring.
+	// ErrScoringDisabled marks a ProcessBatch call with a non-nil score
+	// buffer on a detector built without Config.Scoring.
 	ErrScoringDisabled = errors.New("stream: scoring is not enabled")
 	// ErrClosed marks a call on a detector after Close.
 	ErrClosed = errors.New("stream: detector is closed")
@@ -169,12 +171,12 @@ type Config struct {
 	ExampleTTL uint64
 	// Scoring retains per-subspace deviation magnitudes through the
 	// verdict pass and folds them into one calibrated ensemble outlier
-	// score per flagged point (see ProcessScored, ProcessBatchScored,
-	// Explain). Strictly additive: verdict bits are identical with
-	// scoring on or off, and the hot path stays allocation-free — the
-	// extra cost is recording (subspace, cell, measures, severity)
-	// entries for flagged pairs and one merge-sort-fold per batch over
-	// them, proportional to the flag rate, not the stream.
+	// score per flagged point (see Process, ProcessBatch, Explain).
+	// Strictly additive: verdict bits are identical with scoring on or
+	// off, and the hot path stays allocation-free — the extra cost is
+	// recording (subspace, cell, measures, severity) entries for
+	// flagged pairs and one merge-sort-fold per batch over them,
+	// proportional to the flag rate, not the stream.
 	Scoring bool
 	// TopK, when positive, maintains a streaming top-K of the
 	// highest-scoring points (see Detector.TopK): a bounded min-heap
@@ -444,40 +446,34 @@ func (d *Detector) Template() *sst.Template { return d.tmpl }
 func (d *Detector) Tick() uint64 { return d.tick }
 
 // Process ingests one d-dimensional point and reports whether any SST
-// subspace places it in an outlying cell. It is ProcessBatch on a
-// one-point batch: the same discretization, shard workers, verdict
-// merge and epoch sweeps, so pointwise and batch verdicts are
-// identical by construction. For points that land in already-populated
-// cells it performs zero heap allocations; the amortized exception is
-// the epoch sweep every Config.EpochTicks points.
+// subspace places it in an outlying cell, with its ensemble outlier
+// score: 0 when no subspace flagged the point or Config.Scoring is off,
+// otherwise the noisy-OR combination of the flagged subspaces'
+// severities, in (0,1]. It is ProcessBatch on a one-point batch: the
+// same discretization, shard workers, verdict merge and epoch sweeps,
+// so pointwise and batch verdicts are identical by construction. For
+// points that land in already-populated cells it performs zero heap
+// allocations; the amortized exception is the epoch sweep every
+// Config.EpochTicks points.
 //
-// Input contract: out-of-range finite coordinates clamp to edge
-// cells; a point of other than Dims values panics with ErrBatchLength
-// and a NaN or ±Inf coordinate with ErrNonFinite, both before any
-// state is touched (ProcessErr returns them as errors instead).
-func (d *Detector) Process(point []float64) bool {
-	out, err := d.ProcessErr(point)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// ProcessErr is Process with validation instead of panics: a closed
-// detector, a point of the wrong length or a point carrying a
-// non-finite coordinate returns a typed error (ErrClosed,
-// ErrBatchLength, ErrNonFinite) before any state is touched.
-func (d *Detector) ProcessErr(point []float64) (bool, error) {
+// Input contract: out-of-range finite coordinates clamp to edge cells;
+// a closed detector (ErrClosed), a point of other than Dims values
+// (ErrBatchLength) and a NaN or ±Inf coordinate (ErrNonFinite) return
+// a typed error before any state is touched.
+func (d *Detector) Process(point []float64) (flagged bool, score float64, err error) {
 	if d.closed {
-		return false, ErrClosed
+		return false, 0, ErrClosed
 	}
 	if len(point) != d.cfg.Dims {
-		return false, fmt.Errorf("%w: point has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
+		return false, 0, fmt.Errorf("%w: point has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
 	}
-	if _, err := d.ProcessBatchErr(point, d.one[:]); err != nil {
-		return false, err
+	if _, err := d.ProcessBatch(point, d.one[:], nil); err != nil {
+		return false, 0, err
 	}
-	return d.one[0], nil
+	if d.cfg.Scoring {
+		score = d.scoreScratch[0]
+	}
+	return d.one[0], score, nil
 }
 
 // checkFinite rejects NaN and ±Inf coordinates; v-v is 0 for every
@@ -492,57 +488,32 @@ func checkFinite(flat []float64, dims int) error {
 	return nil
 }
 
-// ProcessBatch ingests a flat row-major batch (len(flat) = n*Dims) and
-// writes one verdict per point into out (len(out) ≥ n), returning n.
-// The batch is processed by all shard workers in parallel; a batch that
-// crosses an epoch boundary is split internally so sweeps still run at
-// exact epoch ticks, making verdicts identical to feeding the points to
-// Process one by one (or in any other batch sizes).
+// ProcessBatch ingests a flat row-major batch (len(flat) = n*Dims),
+// writes one verdict per point into out[0:n] and, when scores is
+// non-nil, each point's ensemble score into scores[0:n] (scores[i] > 0
+// iff out[i]; see Process), returning n. Verdicts are identical with
+// scores nil or not. The batch is processed by all shard workers in
+// parallel; a batch that crosses an epoch boundary is split internally
+// so sweeps still run at exact epoch ticks, making verdicts identical
+// to feeding the points to Process one by one (or in any other batch
+// sizes).
 //
-// ProcessBatch panics on a malformed call (batch length not a multiple
-// of Dims, verdict buffer shorter than the batch, detector closed);
-// callers that prefer an error use ProcessBatchErr, which this is a
-// thin wrapper over.
-func (d *Detector) ProcessBatch(flat []float64, out []bool) int {
-	n, err := d.ProcessBatchErr(flat, out)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// ProcessBatchErr is ProcessBatch with validation instead of panics:
-// a malformed call returns a typed error (ErrBatchLength,
-// ErrVerdictBuffer, ErrClosed) before any state is touched, so a
-// buggy caller cannot corrupt or crash the detector's learned state.
-// Note the verdict-buffer contract validates against the point count
-// n = len(flat)/Dims, not len(flat): out needs one slot per point.
-// Only out[0:n] is written; longer buffers keep their tail.
-func (d *Detector) ProcessBatchErr(flat []float64, out []bool) (int, error) {
+// Scoring is a property of the detector, not of the call: with
+// Config.Scoring set, a nil scores still maintains Explain and the
+// top-K. A malformed call returns a typed error before any state is
+// touched, so a buggy caller cannot corrupt the detector's learned
+// state: ErrClosed, ErrScoringDisabled (non-nil scores without
+// Config.Scoring), ErrBatchLength (len(flat) not a multiple of Dims),
+// ErrVerdictBuffer and ErrScoreBuffer (fewer than n slots — one per
+// point, not per value), ErrNonFinite. Buffers longer than n keep
+// their tail.
+func (d *Detector) ProcessBatch(flat []float64, out []bool, scores []float64) (int, error) {
 	if d.closed {
 		return 0, ErrClosed
 	}
-	n, err := d.validateBatch(flat, out)
-	if err != nil || n == 0 {
-		return n, err
+	if scores != nil && !d.cfg.Scoring {
+		return 0, ErrScoringDisabled
 	}
-	var scores []float64
-	if d.cfg.Scoring {
-		// Unscored ingest still maintains attribution and the top-K
-		// (scoring is a property of the detector, not of the call);
-		// the scores land in the internal scratch.
-		if cap(d.scoreScratch) < n {
-			d.scoreScratch = make([]float64, n)
-		}
-		scores = d.scoreScratch[:n]
-	}
-	d.processBatches(flat, n, out, scores)
-	return n, nil
-}
-
-// validateBatch applies the shared batch-shape checks and returns the
-// point count.
-func (d *Detector) validateBatch(flat []float64, out []bool) (int, error) {
 	if len(flat)%d.cfg.Dims != 0 {
 		return 0, fmt.Errorf("%w: %d values over %d dims", ErrBatchLength, len(flat), d.cfg.Dims)
 	}
@@ -553,10 +524,29 @@ func (d *Detector) validateBatch(flat []float64, out []bool) (int, error) {
 	if len(out) < n {
 		return 0, fmt.Errorf("%w: %d slots for %d points", ErrVerdictBuffer, len(out), n)
 	}
+	if scores != nil && len(scores) < n {
+		return 0, fmt.Errorf("%w: %d slots for %d points", ErrScoreBuffer, len(scores), n)
+	}
 	if err := checkFinite(flat, d.cfg.Dims); err != nil {
 		return 0, err
 	}
+	if scores != nil {
+		scores = scores[:n]
+	} else if d.cfg.Scoring {
+		if cap(d.scoreScratch) < n {
+			d.scoreScratch = make([]float64, n)
+		}
+		scores = d.scoreScratch[:n]
+	}
+	d.processBatches(flat, n, out, scores)
 	return n, nil
+}
+
+// ProcessBatchScoredErr is ProcessBatch under its former name. It
+// exists only because the benchmark module (spotperf/) calls it, and
+// goes with the next change to the benchmark.
+func (d *Detector) ProcessBatchScoredErr(flat []float64, out []bool, scores []float64) (int, error) {
+	return d.ProcessBatch(flat, out, scores)
 }
 
 // processBatches splits a validated batch at epoch boundaries and runs
@@ -690,11 +680,9 @@ func (d *Detector) startWorkers() {
 // point, pointwise or batched, so every detector that ingested should
 // be closed. Close is idempotent — the second and every later call is
 // a no-op — and safe on a detector whose workers never started. After
-// Close every ingestion and snapshot entry point fails with ErrClosed
-// (the Err variants return it, the panicking wrappers panic with it);
-// Close must be called from the goroutine that drives
-// Process/ProcessBatch, between calls, like every other non-ingest
-// operation.
+// Close, Process, ProcessBatch and Snapshot return ErrClosed. Close
+// must be called from the goroutine that drives Process/ProcessBatch,
+// between calls, like every other non-ingest operation.
 func (d *Detector) Close() {
 	if d.closed {
 		return
@@ -724,8 +712,17 @@ func (d *Detector) Closed() bool { return d.closed }
 // MarkExample must be called from the goroutine driving Process /
 // ProcessBatch, between calls — typically right after a flagged point
 // is confirmed by the caller's feedback loop. It never touches the
-// ingestion hot path: no shard state is read or written.
-func (d *Detector) MarkExample(point []float64) {
+// ingestion hot path: no shard state is read or written. The point is
+// held to the ingest contract: one of other than Dims values returns
+// ErrBatchLength and a NaN or ±Inf coordinate ErrNonFinite, before the
+// example set is touched.
+func (d *Detector) MarkExample(point []float64) error {
+	if len(point) != d.cfg.Dims {
+		return fmt.Errorf("%w: example has %d values, want %d", ErrBatchLength, len(point), d.cfg.Dims)
+	}
+	if err := checkFinite(point, d.cfg.Dims); err != nil {
+		return err
+	}
 	coords := make([]uint8, d.cfg.Dims)
 	d.grid.Intervals(point, coords)
 	if len(d.examples) >= d.cfg.MaxExamples {
@@ -733,6 +730,7 @@ func (d *Detector) MarkExample(point []float64) {
 		d.examples = d.examples[:n]
 	}
 	d.examples = append(d.examples, sst.Example{Coords: coords, Tick: d.tick})
+	return nil
 }
 
 // ExampleCount returns the number of labeled examples currently

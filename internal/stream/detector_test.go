@@ -8,6 +8,43 @@ import (
 	"spot/internal/bench"
 )
 
+// mustProcess ingests one point into a detector the test built to
+// accept it and returns the verdict; a typed error means the test
+// itself is broken, so it panics with the error.
+func mustProcess(d *Detector, point []float64) bool {
+	flagged, _, err := d.Process(point)
+	if err != nil {
+		panic(err)
+	}
+	return flagged
+}
+
+// mustProcessScored is mustProcess returning the score as well.
+func mustProcessScored(d *Detector, point []float64) (bool, float64) {
+	flagged, score, err := d.Process(point)
+	if err != nil {
+		panic(err)
+	}
+	return flagged, score
+}
+
+// mustMark records a labeled example the test built to be accepted.
+func mustMark(d *Detector, point []float64) {
+	if err := d.MarkExample(point); err != nil {
+		panic(err)
+	}
+}
+
+// mustBatch is ProcessBatch for a batch the test built to be accepted:
+// it panics with a typed error instead of returning it.
+func mustBatch(d *Detector, flat []float64, out []bool, scores []float64) int {
+	n, err := d.ProcessBatch(flat, out, scores)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 // TestDetectorFindsPlantedOutliers streams Gaussian clusters with
 // planted projected outliers through the detector and checks that,
 // after warmup, planted outliers are flagged and the false-positive
@@ -34,7 +71,7 @@ func TestDetectorFindsPlantedOutliers(t *testing.T) {
 	var planted, caught, inliers, falsePos int
 	for i := 0; i < n; i++ {
 		isOut := gen.Next(buf)
-		flag := det.Process(buf)
+		flag := mustProcess(det, buf)
 		if i < warmup {
 			continue
 		}
@@ -84,7 +121,7 @@ func TestShardInvariance(t *testing.T) {
 		v := make([]bool, n)
 		for i := 0; i < n; i++ {
 			gen.Next(buf)
-			v[i] = det.Process(buf)
+			v[i] = mustProcess(det, buf)
 		}
 		det.Close()
 		verdicts = append(verdicts, v)
@@ -135,7 +172,7 @@ func TestBatchMatchesPointwise(t *testing.T) {
 	defer pointwise.Close()
 	want := make([]bool, n)
 	for i := 0; i < n; i++ {
-		want[i] = pointwise.Process(flat[i*d : (i+1)*d])
+		want[i] = mustProcess(pointwise, flat[i*d:(i+1)*d])
 	}
 
 	for _, batch := range []int{256, 37} {
@@ -144,7 +181,7 @@ func TestBatchMatchesPointwise(t *testing.T) {
 		got := make([]bool, n)
 		for off := 0; off < n; off += batch {
 			end := min(off+batch, n)
-			batched.ProcessBatch(flat[off*d:end*d], got[off:end])
+			mustBatch(batched, flat[off*d:end*d], got[off:end], nil)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -182,7 +219,7 @@ func TestBatchMatchesPointwise(t *testing.T) {
 		wantScore := make([]float64, tn)
 		wantAttr := make([][]Attribution, tn)
 		for i := 0; i < tn; i++ {
-			wantOut[i], wantScore[i] = ref.ProcessScored(tflat[i*td : (i+1)*td])
+			wantOut[i], wantScore[i] = mustProcessScored(ref, tflat[i*td:(i+1)*td])
 			wantAttr[i] = ref.Explain(0, nil)
 		}
 		wantTop := ref.TopK(nil)
@@ -196,7 +233,7 @@ func TestBatchMatchesPointwise(t *testing.T) {
 			scores := make([]float64, batch)
 			for off := 0; off < tn; off += batch {
 				m := min(batch, tn-off)
-				det.ProcessBatchScored(tflat[off*td:(off+m)*td], out[:m], scores[:m])
+				mustBatch(det, tflat[off*td:(off+m)*td], out[:m], scores[:m])
 				for i := 0; i < m; i++ {
 					p := off + i
 					if out[i] != wantOut[p] || math.Float64bits(scores[i]) != math.Float64bits(wantScore[p]) {
@@ -233,13 +270,13 @@ func TestProcessZeroAllocs(t *testing.T) {
 	buf := make([]float64, d)
 	for i := 0; i < 500; i++ {
 		gen.Next(buf)
-		det.Process(buf)
+		mustProcess(det, buf)
 	}
 	point := make([]float64, d)
 	copy(point, buf)
-	det.Process(point) // ensure every cell this point touches exists
+	mustProcess(det, point) // ensure every cell this point touches exists
 	allocs := testing.AllocsPerRun(200, func() {
-		det.Process(point)
+		mustProcess(det, point)
 	})
 	if allocs != 0 {
 		t.Errorf("Process allocates %.1f objects/point on the hot path, want 0", allocs)
@@ -262,12 +299,12 @@ func TestWarmupSuppression(t *testing.T) {
 	buf := make([]float64, d)
 	for i := 0; i < 50; i++ {
 		gen.Next(buf)
-		if det.Process(buf) {
+		if mustProcess(det, buf) {
 			t.Fatalf("point %d flagged during warmup", i)
 		}
 	}
 	outlier := []float64{0.99, 0.99, 0.99, 0.99, 0.99}
-	if det.Process(outlier) {
+	if mustProcess(det, outlier) {
 		t.Fatal("outlier flagged during warmup")
 	}
 }
@@ -289,14 +326,14 @@ func TestIRSDFlagsDisplacedCell(t *testing.T) {
 	defer det.Close()
 	// A tight cluster near 0.5...
 	for i := 0; i < 400; i++ {
-		det.Process([]float64{0.5 + 0.01*float64(i%5-2)})
+		mustProcess(det, []float64{0.5 + 0.01*float64(i%5-2)})
 	}
 	// ...then a point in a far, empty interval: z ≈ |0.95-0.5|/σ is
 	// huge, IRSD ≈ 0.
-	if !det.Process([]float64{0.95}) {
+	if !mustProcess(det, []float64{0.95}) {
 		t.Error("far displaced point not flagged by IRSD")
 	}
-	if det.Process([]float64{0.5}) {
+	if mustProcess(det, []float64{0.5}) {
 		t.Error("cluster-center point flagged by IRSD")
 	}
 }
@@ -318,14 +355,14 @@ func TestIkRDFlagsFarCell(t *testing.T) {
 	defer det.Close()
 	// Dense mass in interval 0 (phi=8 over [0,1): x < 0.125).
 	for i := 0; i < 400; i++ {
-		det.Process([]float64{0.06})
+		mustProcess(det, []float64{0.06})
 	}
 	// Interval 7: grid distance 7 of max 7 -> IkRD = 0 -> flagged.
-	if !det.Process([]float64{0.99}) {
+	if !mustProcess(det, []float64{0.99}) {
 		t.Error("far cell not flagged by IkRD")
 	}
 	// Interval 1: distance 1 -> IkRD ≈ 0.857 -> not flagged.
-	if det.Process([]float64{0.2}) {
+	if mustProcess(det, []float64{0.2}) {
 		t.Error("adjacent cell flagged by IkRD")
 	}
 }

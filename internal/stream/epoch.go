@@ -48,15 +48,16 @@ type arityAccum struct {
 // through Stats.
 type epochCounters struct {
 	sweeps           uint64
-	sweepNanos       uint64
 	evictedProjected uint64
 	evictedBase      uint64
 	promoted         uint64
 	demoted          uint64
 	evolverPanics    uint64
 
-	// Checkpoint telemetry, process-local (never serialized): counts
-	// and wall time of Snapshot calls, and the last snapshot's size.
+	// Wall time of this process's sweeps and checkpoint telemetry,
+	// process-local (never serialized): counts and wall time of
+	// Snapshot calls, and the last snapshot's size.
+	sweepNanos      uint64
 	checkpoints     uint64
 	checkpointNanos uint64
 	checkpointBytes uint64
@@ -267,8 +268,11 @@ type Stats struct {
 	SummaryEntries int
 	// Sweeps is how many epoch sweeps have run; SweepNanos is the
 	// cumulative wall time of their table scans (eviction + density
-	// accounting, excluding SST evolution), so SweepNanos/Sweeps is
-	// the average epoch pause.
+	// accounting, excluding SST evolution). SweepNanos counts this
+	// process's sweeps only — checkpoints do not carry wall time, so a
+	// restored detector starts it at zero while Sweeps carries over;
+	// the average epoch pause is the SweepNanos delta over the Sweeps
+	// delta of one process's run.
 	Sweeps     uint64
 	SweepNanos uint64
 	// EvictedProjected and EvictedBase count summaries evicted from the

@@ -45,7 +45,7 @@ func TestEvictionBoundsMemoryUnderDrift(t *testing.T) {
 		buf := make([]float64, d)
 		for i := 0; i < n; i++ {
 			gen.Next(buf)
-			det.Process(buf)
+			mustProcess(det, buf)
 			if i+1 == mid {
 				midEntries = det.Stats().SummaryEntries
 			}
@@ -140,7 +140,7 @@ func TestEvolutionPromotesAndDetects(t *testing.T) {
 	// mix outliers pass undetected.
 	for i := 0; i < int(cfg.EpochTicks); i++ {
 		isOut := gen.Next(buf)
-		if det.Process(buf) && isOut {
+		if mustProcess(det, buf) && isOut {
 			t.Fatalf("tick %d: mix outlier flagged before any evolution", i+1)
 		}
 	}
@@ -167,7 +167,7 @@ func TestEvolutionPromotesAndDetects(t *testing.T) {
 	var planted, caught int
 	for tick := int(cfg.EpochTicks); tick < 3000; tick++ {
 		isOut := gen.Next(buf)
-		flag := det.Process(buf)
+		flag := mustProcess(det, buf)
 		if tick < 2*int(cfg.EpochTicks)+100 {
 			continue // promoted subspaces still warming up / unreferenced
 		}
@@ -192,7 +192,7 @@ func TestEvolutionPromotesAndDetects(t *testing.T) {
 	quiet := bench.NewGenerator(gcfg)
 	for i := 0; i < 2400; i++ {
 		quiet.Next(buf)
-		det.Process(buf)
+		mustProcess(det, buf)
 	}
 	s := det.Stats()
 	if s.EvolvedActive != 0 {
@@ -224,7 +224,7 @@ func TestEvolutionShardInvariance(t *testing.T) {
 		v := make([]bool, n)
 		for i := 0; i < n; i++ {
 			gen.Next(buf)
-			v[i] = det.Process(buf)
+			v[i] = mustProcess(det, buf)
 		}
 		verdicts = append(verdicts, v)
 		var dims []uint16
@@ -270,7 +270,7 @@ func TestEpochBatchMatchesPointwise(t *testing.T) {
 
 	want := make([]bool, n)
 	for i := 0; i < n; i++ {
-		want[i] = det1.Process(flat[i*6 : (i+1)*6])
+		want[i] = mustProcess(det1, flat[i*6:(i+1)*6])
 	}
 
 	det2, _ := mk()
@@ -282,7 +282,7 @@ func TestEpochBatchMatchesPointwise(t *testing.T) {
 		if off+b > n {
 			b = n - off
 		}
-		det2.ProcessBatch(flat[off*6:(off+b)*6], got[off:off+b])
+		mustBatch(det2, flat[off*6:(off+b)*6], got[off:off+b], nil)
 		off += b
 	}
 	for i := range want {

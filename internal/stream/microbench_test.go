@@ -35,9 +35,9 @@ func microbenchDetector(tb testing.TB, shards int, scoring bool) (*Detector, []f
 	gen.Fill(flat, labels, batch)
 	for i := 0; i < 4; i++ { // populate every cell the batch touches
 		if scoring {
-			det.ProcessBatchScored(flat, out, scores)
+			mustBatch(det, flat, out, scores)
 		} else {
-			det.ProcessBatch(flat, out)
+			mustBatch(det, flat, out, nil)
 		}
 	}
 	return det, flat, out, scores
@@ -54,7 +54,7 @@ func BenchmarkProcessPoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Process(flat[(i%points)*d : (i%points+1)*d])
+		mustProcess(det, flat[(i%points)*d:(i%points+1)*d])
 	}
 }
 
@@ -79,9 +79,9 @@ func BenchmarkProcessBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if v.scoring {
-					det.ProcessBatchScored(flat, out, scores)
+					mustBatch(det, flat, out, scores)
 				} else {
-					det.ProcessBatch(flat, out)
+					mustBatch(det, flat, out, nil)
 				}
 			}
 			b.StopTimer()
@@ -102,7 +102,7 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 		det, flat, out, _ := microbenchDetector(t, 2, false)
 		defer det.Close()
 		allocs := testing.AllocsPerRun(20, func() {
-			det.ProcessBatch(flat, out)
+			mustBatch(det, flat, out, nil)
 		})
 		if allocs != 0 {
 			t.Fatalf("steady-state ProcessBatch allocates %.1f times per batch, want 0", allocs)
@@ -121,7 +121,7 @@ func TestProcessBatchScoredZeroAllocs(t *testing.T) {
 	attrs := make([]Attribution, 0, 256)
 	offs := make([]Offender, 0, 16)
 	allocs := testing.AllocsPerRun(20, func() {
-		det.ProcessBatchScored(flat, out, scores)
+		mustBatch(det, flat, out, scores)
 		for i := range out {
 			if out[i] {
 				attrs = det.Explain(i, attrs[:0])
@@ -130,7 +130,7 @@ func TestProcessBatchScoredZeroAllocs(t *testing.T) {
 		offs = det.TopK(offs[:0])
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state ProcessBatchScored allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("steady-state scored ProcessBatch allocates %.1f times per batch, want 0", allocs)
 	}
 }
 
@@ -143,10 +143,10 @@ func TestProcessScoredZeroAllocs(t *testing.T) {
 	points := len(flat) / d
 	i := 0
 	allocs := testing.AllocsPerRun(512, func() {
-		det.ProcessScored(flat[(i%points)*d : (i%points+1)*d])
+		mustProcessScored(det, flat[(i%points)*d:(i%points+1)*d])
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state ProcessScored allocates %.3f times per point, want 0", allocs)
+		t.Fatalf("steady-state scored Process allocates %.3f times per point, want 0", allocs)
 	}
 }

@@ -16,13 +16,13 @@ func feedClean(t *testing.T, det *Detector, n int) []bool {
 	out := make([]bool, n)
 	for i := 0; i < n; i++ {
 		next(buf)
-		out[i] = det.Process(buf)
+		out[i] = mustProcess(det, buf)
 	}
 	return out
 }
 
 // TestNonFiniteRejected: every NaN/±Inf placement returns ErrNonFinite
-// from both error-returning entry points, with the offending point and
+// from both ingest entry points, with the offending point and
 // dimension named in the message.
 func TestNonFiniteRejected(t *testing.T) {
 	cfg := DefaultConfig(4)
@@ -36,13 +36,13 @@ func TestNonFiniteRejected(t *testing.T) {
 		for dim := 0; dim < cfg.Dims; dim++ {
 			pt := []float64{0.1, 0.2, 0.3, 0.4}
 			pt[dim] = p
-			if _, err := det.ProcessErr(pt); !errors.Is(err, ErrNonFinite) {
-				t.Fatalf("ProcessErr(%g at dim %d) = %v, want ErrNonFinite", p, dim, err)
+			if _, _, err := det.Process(pt); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("Process(%g at dim %d) = %v, want ErrNonFinite", p, dim, err)
 			}
 			batch := append(append([]float64{0.5, 0.5, 0.5, 0.5}, pt...), 0.6, 0.6, 0.6, 0.6)
 			out := make([]bool, 3)
-			if _, err := det.ProcessBatchErr(batch, out); !errors.Is(err, ErrNonFinite) {
-				t.Fatalf("ProcessBatchErr(%g at dim %d) = %v, want ErrNonFinite", p, dim, err)
+			if _, err := det.ProcessBatch(batch, out, nil); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("ProcessBatch(%g at dim %d) = %v, want ErrNonFinite", p, dim, err)
 			}
 		}
 	}
@@ -71,18 +71,18 @@ func TestNonFiniteRejectBeforeMutate(t *testing.T) {
 	buf := make([]float64, cfg.Dims)
 	for i := 0; i < 300; i++ {
 		warm(buf)
-		dirty.Process(buf)
-		clean.Process(buf)
+		mustProcess(dirty, buf)
+		mustProcess(clean, buf)
 	}
 	before := dirty.Stats()
-	if _, err := dirty.ProcessErr([]float64{0.1, math.NaN(), 0.3, 0.4}); !errors.Is(err, ErrNonFinite) {
+	if _, _, err := dirty.Process([]float64{0.1, math.NaN(), 0.3, 0.4}); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("poison point not rejected: %v", err)
 	}
 	out := make([]bool, 2)
-	if _, err := dirty.ProcessBatchErr([]float64{
+	if _, err := dirty.ProcessBatch([]float64{
 		0.1, 0.2, 0.3, 0.4,
 		math.Inf(-1), 0.2, 0.3, 0.4,
-	}, out); !errors.Is(err, ErrNonFinite) {
+	}, out, nil); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("poison batch not rejected: %v", err)
 	}
 	after := dirty.Stats()
@@ -98,37 +98,50 @@ func TestNonFiniteRejectBeforeMutate(t *testing.T) {
 	}
 }
 
-// TestNonFinitePanicsOnPanicAPI: the panic-flavored entry points wrap
-// the same typed error, so defensive callers can still errors.Is it.
+// TestNonFinitePanicsOnPanicAPI: no ingest entry point panics on
+// non-finite input — Process and ProcessBatch, unscored and scored,
+// all return the typed ErrNonFinite, so callers can errors.Is it, and
+// the tick stays put.
 func TestNonFinitePanicsOnPanicAPI(t *testing.T) {
 	cfg := DefaultConfig(2)
+	cfg.Scoring = true
 	det, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer det.Close()
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatalf("%s did not panic on non-finite input", name)
-			}
-			if e, ok := r.(error); !ok || !errors.Is(e, ErrNonFinite) {
-				t.Fatalf("%s panicked with %v, want ErrNonFinite", name, r)
+	flat := []float64{1, 2, 3, math.Inf(1)}
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Process", func() error { _, _, err := det.Process([]float64{math.NaN(), 1}); return err }},
+		{"ProcessBatch", func() error { _, err := det.ProcessBatch(flat, make([]bool, 2), nil); return err }},
+		{"ProcessBatch scored", func() error {
+			_, err := det.ProcessBatch(flat, make([]bool, 2), make([]float64, 2))
+			return err
+		}},
+	}
+	for _, c := range calls {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s panicked on non-finite input: %v", c.name, r)
+				}
+			}()
+			if err := c.call(); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("%s = %v, want ErrNonFinite", c.name, err)
 			}
 		}()
-		f()
 	}
-	mustPanic("Process", func() { det.Process([]float64{math.NaN(), 1}) })
-	mustPanic("ProcessBatch", func() {
-		det.ProcessBatch([]float64{1, 2, 3, math.Inf(1)}, make([]bool, 2))
-	})
+	if det.Tick() != 0 {
+		t.Fatalf("rejected calls moved the tick to %d", det.Tick())
+	}
 }
 
 // TestWrongLengthPointRejected: a single point of other than Dims
-// values — short or long — returns ErrBatchLength from ProcessErr (and
-// panics with it from Process) before any state is touched: the tick
+// values — short or long — returns ErrBatchLength from Process before
+// any state is touched, without panicking: the tick
 // stays put and every later verdict matches a twin detector that never
 // saw the malformed calls.
 func TestWrongLengthPointRejected(t *testing.T) {
@@ -149,8 +162,8 @@ func TestWrongLengthPointRejected(t *testing.T) {
 	buf := make([]float64, cfg.Dims)
 	for i := 0; i < 300; i++ {
 		warm(buf)
-		dirty.Process(buf)
-		clean.Process(buf)
+		mustProcess(dirty, buf)
+		mustProcess(clean, buf)
 	}
 	tick := dirty.Tick()
 	for _, pt := range [][]float64{
@@ -158,17 +171,9 @@ func TestWrongLengthPointRejected(t *testing.T) {
 		{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8},
 		{},
 	} {
-		if _, err := dirty.ProcessErr(pt); !errors.Is(err, ErrBatchLength) {
-			t.Fatalf("ProcessErr(%d values) = %v, want ErrBatchLength", len(pt), err)
+		if _, _, err := dirty.Process(pt); !errors.Is(err, ErrBatchLength) {
+			t.Fatalf("Process(%d values) = %v, want ErrBatchLength", len(pt), err)
 		}
-		func() {
-			defer func() {
-				if e, ok := recover().(error); !ok || !errors.Is(e, ErrBatchLength) {
-					t.Fatalf("Process(%d values) panicked with %v, want ErrBatchLength", len(pt), e)
-				}
-			}()
-			dirty.Process(pt)
-		}()
 		if got := dirty.Tick(); got != tick {
 			t.Fatalf("rejected %d-value point moved the tick: %d -> %d", len(pt), tick, got)
 		}

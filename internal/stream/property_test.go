@@ -125,9 +125,9 @@ func TestShardInvarianceProperty(t *testing.T) {
 				for lo := off; lo < off+b; lo += step {
 					hi := min(lo+step, off+b)
 					if scoring {
-						det.ProcessBatchScored(flat[lo*d:hi*d], verdicts[lo:hi], scores[lo:hi])
+						mustBatch(det, flat[lo*d:hi*d], verdicts[lo:hi], scores[lo:hi])
 					} else {
-						det.ProcessBatch(flat[lo*d:hi*d], verdicts[lo:hi])
+						mustBatch(det, flat[lo*d:hi*d], verdicts[lo:hi], nil)
 					}
 				}
 				if supervised {
@@ -135,7 +135,7 @@ func TestShardInvarianceProperty(t *testing.T) {
 					// batch — identical feedback at every shard count.
 					for i := off; i < off+b; i++ {
 						if labels[i] {
-							det.MarkExample(flat[i*d : (i+1)*d])
+							mustMark(det, flat[i*d:(i+1)*d])
 						}
 					}
 				}

@@ -110,7 +110,7 @@ func newScoreOracle(t *testing.T, det *Detector, cfg Config) *scoreOracle {
 
 // process folds one point and returns the flag, the ensemble score and
 // the point's attribution entries in subspace-ID order — exactly what
-// ProcessScored + Explain(0) report.
+// Process + Explain(0) report.
 func (o *scoreOracle) process(point []float64) (bool, float64, []Attribution) {
 	o.tick++
 	tick := o.tick
@@ -274,8 +274,8 @@ func (o *scoreOracle) sweep(tick uint64) {
 // agreement on every verdict, score, attribution entry (subspace,
 // cell, fired measures, severity) and the final top-K — with epoch
 // sweeps keeping the popRD floor live so all four measures fire. The
-// stream goes in once pointwise (ProcessScored) and once through
-// ProcessBatchScored in 100-point batches, which the 128-tick epochs
+// stream goes in once pointwise (Process) and once through scored
+// ProcessBatch calls of 100 points, which the 128-tick epochs
 // split mid-batch; the oracle stays pointwise for both.
 func TestAttributionOracle(t *testing.T) {
 	t.Run("pointwise", func(t *testing.T) { attributionOracle(t, 0) })
@@ -324,9 +324,9 @@ func attributionOracle(t *testing.T, batch int) {
 		if rel == 0 {
 			hi := min(i+step, n)
 			if batch == 0 {
-				out[0], scores[0] = det.ProcessScored(flat[i*d : hi*d])
+				out[0], scores[0] = mustProcessScored(det, flat[i*d:hi*d])
 			} else {
-				det.ProcessBatchScored(flat[i*d:hi*d], out, scores)
+				mustBatch(det, flat[i*d:hi*d], out, scores)
 			}
 		}
 		gotFlag, gotScore := out[rel], scores[rel]
@@ -407,8 +407,8 @@ func TestScoringAdditivePointwise(t *testing.T) {
 	flagged := 0
 	for i := 0; i < n; i++ {
 		gen.Next(buf)
-		want := plain.Process(buf)
-		got, score := scored.ProcessScored(buf)
+		want := mustProcess(plain, buf)
+		got, score := mustProcessScored(scored, buf)
 		if got != want {
 			t.Fatalf("point %d: scoring changed the verdict: %v vs %v", i, got, want)
 		}
@@ -450,7 +450,7 @@ func TestScoreReconstruction(t *testing.T) {
 	bench.NewGenerator(bench.DefaultGenConfig(d)).Fill(flat, labels, n)
 	out := make([]bool, n)
 	scores := make([]float64, n)
-	det.ProcessBatchScored(flat, out, scores)
+	mustBatch(det, flat, out, scores)
 
 	var attrs []Attribution
 	flagged := 0
@@ -521,14 +521,14 @@ func TestBatchErrContracts(t *testing.T) {
 		call func() (int, error)
 		want error
 	}{
-		{"closed", func() (int, error) { return closedPlain.ProcessBatchErr(flat, out) }, ErrClosed},
-		{"closed scored", func() (int, error) { return closedScored.ProcessBatchScoredErr(flat, out, scores) }, ErrClosed},
-		{"ragged batch", func() (int, error) { return plain.ProcessBatchErr(flat[:2*d-1], out) }, ErrBatchLength},
-		{"ragged scored batch", func() (int, error) { return scored.ProcessBatchScoredErr(flat[:2*d-1], out, scores) }, ErrBatchLength},
-		{"short verdict buffer", func() (int, error) { return plain.ProcessBatchErr(flat, out[:1]) }, ErrVerdictBuffer},
-		{"short scored verdict buffer", func() (int, error) { return scored.ProcessBatchScoredErr(flat, out[:1], scores) }, ErrVerdictBuffer},
-		{"short score buffer", func() (int, error) { return scored.ProcessBatchScoredErr(flat, out, scores[:1]) }, ErrScoreBuffer},
-		{"scoring disabled", func() (int, error) { return plain.ProcessBatchScoredErr(flat, out, scores) }, ErrScoringDisabled},
+		{"closed", func() (int, error) { return closedPlain.ProcessBatch(flat, out, nil) }, ErrClosed},
+		{"closed scored", func() (int, error) { return closedScored.ProcessBatch(flat, out, scores) }, ErrClosed},
+		{"ragged batch", func() (int, error) { return plain.ProcessBatch(flat[:2*d-1], out, nil) }, ErrBatchLength},
+		{"ragged scored batch", func() (int, error) { return scored.ProcessBatch(flat[:2*d-1], out, scores) }, ErrBatchLength},
+		{"short verdict buffer", func() (int, error) { return plain.ProcessBatch(flat, out[:1], nil) }, ErrVerdictBuffer},
+		{"short scored verdict buffer", func() (int, error) { return scored.ProcessBatch(flat, out[:1], scores) }, ErrVerdictBuffer},
+		{"short score buffer", func() (int, error) { return scored.ProcessBatch(flat, out, scores[:1]) }, ErrScoreBuffer},
+		{"scoring disabled", func() (int, error) { return plain.ProcessBatch(flat, out, scores) }, ErrScoringDisabled},
 	}
 	for _, tc := range cases {
 		n, err := tc.call()
@@ -544,10 +544,10 @@ func TestBatchErrContracts(t *testing.T) {
 	}
 
 	// Empty batches are accepted no-ops even with nil buffers.
-	if n, err := plain.ProcessBatchErr(nil, nil); n != 0 || err != nil {
+	if n, err := plain.ProcessBatch(nil, nil, nil); n != 0 || err != nil {
 		t.Fatalf("empty batch: got (%d, %v)", n, err)
 	}
-	if n, err := scored.ProcessBatchScoredErr(nil, nil, nil); n != 0 || err != nil {
+	if n, err := scored.ProcessBatch(nil, nil, nil); n != 0 || err != nil {
 		t.Fatalf("empty scored batch: got (%d, %v)", n, err)
 	}
 
@@ -555,7 +555,7 @@ func TestBatchErrContracts(t *testing.T) {
 	// slots for n points, and slots past n are never written.
 	longOut := []bool{true, true, true, true}
 	longScores := []float64{9, 9, 9, 9}
-	if _, err := scored.ProcessBatchScoredErr(flat, longOut, longScores); err != nil {
+	if _, err := scored.ProcessBatch(flat, longOut, longScores); err != nil {
 		t.Fatal(err)
 	}
 	if longOut[2] != true || longOut[3] != true {
@@ -565,23 +565,18 @@ func TestBatchErrContracts(t *testing.T) {
 		t.Fatalf("scores tail overwritten: %v", longScores)
 	}
 
-	// The panicking wrappers surface the same typed errors.
-	func() {
-		defer func() {
-			if r := recover(); !errors.Is(r.(error), ErrScoringDisabled) {
-				t.Errorf("ProcessScored on a non-scoring detector panicked with %v", r)
-			}
-		}()
-		plain.ProcessScored(make([]float64, d))
-	}()
-	func() {
-		defer func() {
-			if r := recover(); !errors.Is(r.(error), ErrScoreBuffer) {
-				t.Errorf("ProcessBatchScored with a short score buffer panicked with %v", r)
-			}
-		}()
-		scored.ProcessBatchScored(flat, out, scores[:1])
-	}()
+	// The one-point path: Process on a non-scoring detector reports a
+	// zero score rather than an error, and a scored one-point batch on
+	// it is refused with the typed error, as is an empty score buffer.
+	if _, score, err := plain.Process(make([]float64, d)); score != 0 || err != nil {
+		t.Errorf("Process on a non-scoring detector: got (%g, %v), want (0, nil)", score, err)
+	}
+	if _, err := plain.ProcessBatch(make([]float64, d), out, scores[:1]); !errors.Is(err, ErrScoringDisabled) {
+		t.Errorf("scored one-point batch on a non-scoring detector: got %v, want ErrScoringDisabled", err)
+	}
+	if _, err := scored.ProcessBatch(make([]float64, d), out, scores[:0]); !errors.Is(err, ErrScoreBuffer) {
+		t.Errorf("one-point batch with an empty score buffer: got %v, want ErrScoreBuffer", err)
+	}
 }
 
 // TestScoringConfigValidation pins the constructor checks the scoring

@@ -62,7 +62,10 @@ var ErrConfigMismatch = errors.New("stream: snapshot does not match the config")
 // goroutine driving Process/ProcessBatch, between calls (the workers
 // are idle at every such boundary); the detector is not mutated beyond
 // its checkpoint telemetry counters, and processing may resume
-// immediately after. Returns ErrClosed after Close.
+// immediately after. The bytes are a function of the ingested stream
+// alone — no wall-clock time is recorded — so two detectors fed the
+// same points write identical checkpoints. Returns ErrClosed after
+// Close.
 func (d *Detector) Snapshot(w io.Writer) error {
 	if d.closed {
 		return ErrClosed
@@ -205,7 +208,7 @@ func (d *Detector) Snapshot(w io.Writer) error {
 		sw.F64(v)
 	}
 	sw.U64(d.counters.sweeps)
-	sw.U64(d.counters.sweepNanos)
+	sw.U64(0) // v3 slot of the sweep wall time; process-local, always 0, ignored on read
 	sw.U64(d.counters.evictedProjected)
 	sw.U64(d.counters.evictedBase)
 	sw.U64(d.counters.promoted)
@@ -505,7 +508,7 @@ func Restore(r io.Reader, cfg Config) (*Detector, error) {
 		d.popAvg[i] = sec.F64()
 	}
 	d.counters.sweeps = sec.U64()
-	d.counters.sweepNanos = sec.U64()
+	sec.U64() // sweep wall time slot, ignored (see Snapshot)
 	d.counters.evictedProjected = sec.U64()
 	d.counters.evictedBase = sec.U64()
 	d.counters.promoted = sec.U64()

@@ -130,12 +130,12 @@ func (tr *snapTrial) feed(det *Detector, verdicts []bool, from, to int) {
 		}
 		for lo := off; lo < off+b; lo += step {
 			hi := min(lo+step, off+b)
-			det.ProcessBatch(tr.flat[lo*tr.d:hi*tr.d], verdicts[lo:hi])
+			mustBatch(det, tr.flat[lo*tr.d:hi*tr.d], verdicts[lo:hi], nil)
 		}
 		if tr.supervised {
 			for i := off; i < off+b; i++ {
 				if tr.labels[i] {
-					det.MarkExample(tr.flat[i*tr.d : (i+1)*tr.d])
+					mustMark(det, tr.flat[i*tr.d:(i+1)*tr.d])
 				}
 			}
 		}
@@ -309,6 +309,41 @@ func TestSnapshotRestoreByteStable(t *testing.T) {
 	}
 }
 
+// TestSnapshotSameStreamSameBytes: two detectors fed the same stream
+// write byte-identical checkpoints — the sweeps' wall time is
+// process-local and never serialized — and a restored detector reports
+// only its own sweep time while the sweep count carries over.
+func TestSnapshotSameStreamSameBytes(t *testing.T) {
+	meta := rand.New(rand.NewSource(11))
+	tr := makeSnapTrial(t, 0, meta)
+	var snaps [2]bytes.Buffer
+	for i := range snaps {
+		det, err := New(tr.config(t, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.feed(det, make([]bool, tr.n), 0, len(tr.batches))
+		if s := det.Stats(); s.Sweeps == 0 || s.SweepNanos == 0 {
+			t.Fatalf("trial ran no timed sweep: %+v", s)
+		}
+		if err := det.Snapshot(&snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+		det.Close()
+	}
+	if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
+		t.Fatalf("same stream, different checkpoints: %d vs %d bytes", snaps[0].Len(), snaps[1].Len())
+	}
+	restored, err := Restore(bytes.NewReader(snaps[0].Bytes()), tr.config(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if s := restored.Stats(); s.Sweeps == 0 || s.SweepNanos != 0 {
+		t.Fatalf("restored sweep counters: Sweeps=%d SweepNanos=%d, want carried count and zero time", s.Sweeps, s.SweepNanos)
+	}
+}
+
 // TestRestoreParentCheckpoint pins backward compatibility of format
 // version 3: testdata/parent_v3.snap was written by the build that
 // still routed duplication-free subspaces through a per-subspace
@@ -363,7 +398,7 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 		for i := range buf {
 			buf[i] = rng.Float64()
 		}
-		det.ProcessBatch(buf, out)
+		mustBatch(det, buf, out, nil)
 		for i, f := range out {
 			if w := want[off+i] == '1'; f != w {
 				t.Fatalf("point %d after restore: verdict %v, parent build %v", warm+off+i, f, w)
@@ -512,11 +547,11 @@ func TestRestoreScoringEquivalence(t *testing.T) {
 			}
 			for bi := from; bi < to; bi++ {
 				b := tr.batches[bi]
-				det.ProcessBatchScored(tr.flat[off*tr.d:(off+b)*tr.d], verdicts[off:off+b], scores[off:off+b])
+				mustBatch(det, tr.flat[off*tr.d:(off+b)*tr.d], verdicts[off:off+b], scores[off:off+b])
 				if tr.supervised {
 					for i := off; i < off+b; i++ {
 						if tr.labels[i] {
-							det.MarkExample(tr.flat[i*tr.d : (i+1)*tr.d])
+							mustMark(det, tr.flat[i*tr.d:(i+1)*tr.d])
 						}
 					}
 				}
@@ -742,8 +777,8 @@ func TestSnapshotAfterClose(t *testing.T) {
 
 // TestProcessBatchErrValidation covers the typed-error batch entry
 // point: ragged input, short verdict buffers, empty batches, and use
-// after Close all surface as errors instead of panics, and the
-// panicking wrapper still panics for legacy callers.
+// after Close all surface as errors instead of panics, and a rejected
+// batch leaves the tick where it was.
 func TestProcessBatchErrValidation(t *testing.T) {
 	cfg := DefaultConfig(4)
 	det, err := New(cfg)
@@ -751,28 +786,23 @@ func TestProcessBatchErrValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]bool, 8)
-	if _, err := det.ProcessBatchErr(make([]float64, 6), out); !errors.Is(err, ErrBatchLength) {
+	if _, err := det.ProcessBatch(make([]float64, 6), out, nil); !errors.Is(err, ErrBatchLength) {
 		t.Fatalf("ragged batch: got %v, want ErrBatchLength", err)
 	}
-	if _, err := det.ProcessBatchErr(make([]float64, 4*8), make([]bool, 2)); !errors.Is(err, ErrVerdictBuffer) {
+	if _, err := det.ProcessBatch(make([]float64, 4*8), make([]bool, 2), nil); !errors.Is(err, ErrVerdictBuffer) {
 		t.Fatalf("short buffer: got %v, want ErrVerdictBuffer", err)
 	}
-	if n, err := det.ProcessBatchErr(nil, nil); n != 0 || err != nil {
+	if n, err := det.ProcessBatch(nil, nil, nil); n != 0 || err != nil {
 		t.Fatalf("empty batch: got (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := det.ProcessBatchErr(make([]float64, 4*3), out); n != 3 || err != nil {
+	if n, err := det.ProcessBatch(make([]float64, 4*3), out, nil); n != 3 || err != nil {
 		t.Fatalf("valid batch: got (%d, %v)", n, err)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ProcessBatch did not panic on ragged input")
-			}
-		}()
-		det.ProcessBatch(make([]float64, 6), out)
-	}()
+	if _, err := det.ProcessBatch(make([]float64, 6), out, nil); !errors.Is(err, ErrBatchLength) || det.Tick() != 3 {
+		t.Errorf("ragged batch after ingest: got %v at tick %d, want ErrBatchLength at tick 3", err, det.Tick())
+	}
 	det.Close()
-	if _, err := det.ProcessBatchErr(make([]float64, 4), out); !errors.Is(err, ErrClosed) {
+	if _, err := det.ProcessBatch(make([]float64, 4), out, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("after close: got %v, want ErrClosed", err)
 	}
 }

@@ -1,6 +1,9 @@
 package stream
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"testing"
 
 	"spot/internal/bench"
@@ -72,9 +75,9 @@ func TestSupervisedEvolutionLearnsFromExamples(t *testing.T) {
 	marked := 0
 	for i := 0; i < int(cfg.EpochTicks); i++ {
 		isOut := gen.Next(buf)
-		det.Process(buf)
+		mustProcess(det, buf)
 		if isOut {
-			det.MarkExample(buf)
+			mustMark(det, buf)
 			marked++
 		}
 	}
@@ -105,9 +108,9 @@ func TestSupervisedEvolutionLearnsFromExamples(t *testing.T) {
 	var planted, caught int
 	for tick := int(cfg.EpochTicks); tick < 3000; tick++ {
 		isOut := gen.Next(buf)
-		flag := det.Process(buf)
+		flag := mustProcess(det, buf)
 		if isOut {
-			det.MarkExample(buf)
+			mustMark(det, buf)
 		}
 		if tick < 2*int(cfg.EpochTicks)+100 {
 			continue // promoted subspaces still warming up / unreferenced
@@ -151,7 +154,7 @@ func TestMarkExampleRetention(t *testing.T) {
 
 	point := []float64{0.5, 0.5, 0.5, 0.5}
 	for i := 0; i < 6; i++ {
-		det.MarkExample(point)
+		mustMark(det, point)
 	}
 	if got := det.ExampleCount(); got != cfg.MaxExamples {
 		t.Fatalf("ExampleCount = %d after 6 marks, want cap %d", got, cfg.MaxExamples)
@@ -160,18 +163,64 @@ func TestMarkExampleRetention(t *testing.T) {
 	// Advance past the TTL: the epoch sweep at tick 200 must expire the
 	// tick-0 examples (age 200 > 150).
 	for i := 0; i < 200; i++ {
-		det.Process(point)
+		mustProcess(det, point)
 	}
 	if got := det.ExampleCount(); got != 0 {
 		t.Fatalf("ExampleCount = %d after TTL expiry, want 0", got)
 	}
 
 	// Fresh examples survive the next sweep (age below TTL).
-	det.MarkExample(point)
+	mustMark(det, point)
 	for i := 0; i < 100; i++ {
-		det.Process(point)
+		mustProcess(det, point)
 	}
 	if got := det.ExampleCount(); got != 1 {
 		t.Fatalf("ExampleCount = %d, want 1 fresh example retained", got)
+	}
+}
+
+// TestMarkExampleRejectsMalformed holds MarkExample to the ingest
+// contract: a short or long point returns ErrBatchLength and a NaN or
+// ±Inf coordinate ErrNonFinite, without panicking and before the
+// example set is touched — a malformed example must never reach the
+// evolver as a silently truncated or interval-0 coordinate.
+func TestMarkExampleRejectsMalformed(t *testing.T) {
+	cfg := DefaultConfig(4)
+	det, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer det.Close()
+	good := []float64{0.1, 0.4, 0.6, 0.9}
+	mustMark(det, good)
+	want := append([]uint8(nil), det.examples[0].Coords...)
+	for _, tc := range []struct {
+		name  string
+		point []float64
+		err   error
+	}{
+		{"short", []float64{0.1, 0.2}, ErrBatchLength},
+		{"empty", nil, ErrBatchLength},
+		{"long", []float64{0.1, 0.2, 0.3, 0.4, 0.5}, ErrBatchLength},
+		{"NaN", []float64{0.1, math.NaN(), 0.3, 0.4}, ErrNonFinite},
+		{"+Inf", []float64{0.1, 0.2, math.Inf(1), 0.4}, ErrNonFinite},
+		{"-Inf", []float64{math.Inf(-1), 0.2, 0.3, 0.4}, ErrNonFinite},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s example panicked: %v", tc.name, r)
+				}
+			}()
+			if err := det.MarkExample(tc.point); !errors.Is(err, tc.err) {
+				t.Errorf("%s example: got %v, want %v", tc.name, err, tc.err)
+			}
+		}()
+		if got := det.ExampleCount(); got != 1 {
+			t.Fatalf("%s example changed ExampleCount to %d, want 1", tc.name, got)
+		}
+	}
+	if !bytes.Equal(det.examples[0].Coords, want) {
+		t.Fatalf("retained example changed: %v, want %v", det.examples[0].Coords, want)
 	}
 }
